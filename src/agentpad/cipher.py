@@ -14,6 +14,19 @@ state's own right rotation; both are read before the state advances. The
 register always carries the original (masked) codeword, so verification can
 replay the identical schedule.
 
+Every codeword state is the codeword rotated right by a running offset in
+Z_W, so the schedule is a walk on at most W states: a preperiod of mu
+blocks, then a cycle of lam blocks, with mu + lam <= W. Past W blocks the
+digest XORs in the mu leading blocks one by one, XOR-folds the rest per cycle
+phase, and rotates only the lam folds; encryption-mode rotation works on the
+packed data once per distinct rotation amount. Up to W blocks are walked
+state by state.
+
+In encryption mode the stored blocks are the rotated ones, and derotation
+undoes each rotation exactly, so the digest of the derotated blocks equals
+the plain XOR fold of the unmasked stored blocks. Checking such a register
+needs the schedule only to recover the plaintext and its padding.
+
 Every key is used for exactly one register. Checking a register never
 consumes the key; protecting with it does.
 """
@@ -23,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 VALID_WIDTHS = (8, 16, 32, 64)
@@ -71,7 +85,9 @@ class CipherParams:
     """Block geometry shared by all parties of one deployment.
 
     block_width_bits is W, a power of two in [8, 64]. The rotation fields are
-    log2(W) bits wide and the signature (codeword + digest) is 2W bits.
+    log2(W) bits wide and the signature (codeword + digest) is 2W bits. The
+    derived sizes are computed once per instance, outside the dataclass
+    fields, so equality, hashing and repr see only the width.
     """
 
     block_width_bits: int = 64
@@ -82,19 +98,19 @@ class CipherParams:
                 f"block width must be one of {VALID_WIDTHS}, got {self.block_width_bits}"
             )
 
-    @property
+    @cached_property
     def rotation_field_bits(self) -> int:
         return self.block_width_bits.bit_length() - 1
 
-    @property
+    @cached_property
     def signature_width_bits(self) -> int:
         return 2 * self.block_width_bits
 
-    @property
+    @cached_property
     def block_bytes(self) -> int:
         return self.block_width_bits // 8
 
-    @property
+    @cached_property
     def word_mask(self) -> int:
         return (1 << self.block_width_bits) - 1
 
@@ -204,64 +220,132 @@ def join_blocks(blocks: Iterable[int], params: CipherParams) -> bytes:
     return b"".join(b.to_bytes(bb, "big") for b in blocks)
 
 
-def compute_mfd(blocks: list[int], cw: int, params: CipherParams) -> int:
-    """Digest of a block sequence under the codeword's rotation schedule.
+def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
+    """Codeword states of the schedule for n blocks, folded by its period.
 
-    Folds the blocks left to right: XOR in each block rotated left by the low
-    r bits of the codeword state, then rotate the state right by its high r
-    bits. The caller's codeword is not modified; an empty sequence digests
-    to zero.
+    Block i is rotated left by the low r bits of its state. Returns
+    ``(states, mu)``: block i < mu takes ``states[i]``. When ``states`` is
+    longer than mu, the walk has closed a cycle of ``lam = len(states) - mu``
+    states and block i >= mu takes ``states[mu + (i - mu) % lam]``. Up to W
+    blocks are walked state by state (mu = n). Longer sequences are walked
+    until a state repeats, which happens within W + 1 steps: every state is
+    a rotation of cw, and a W-bit word has at most W of them.
     """
     w = params.block_width_bits
-    r = params.rotation_field_bits
     mask = params.word_mask
-    low = (1 << r) - 1
-    top = w - r
-    mfd = 0
+    top = w - params.rotation_field_bits
+    cycle = n > w
+    first: dict[int, int] = {}  # state -> index of its first visit
+    states = []
     c = cw
-    for b in blocks:
-        l = c & low
-        mfd ^= ((b << l) | (b >> (w - l))) & mask
+    for i in range(w + 1 if cycle else n):
+        if cycle:
+            if c in first:  # reached by step W at the latest
+                return states, first[c]
+            first[c] = i
+        states.append(c)
         m = c >> top
         c = ((c >> m) | (c << (w - m))) & mask
+    return states, n
+
+
+def _fold(x: int, chunks: int, chunk_bits: int) -> int:
+    """XOR of the ``chunks`` chunk_bits-wide chunks of x, counted from its low end.
+
+    Halves the integer until one chunk is left. With an odd count the top
+    chunk is left unpaired for a round, which changes no XOR.
+    """
+    while chunks > 1:
+        half = chunks // 2
+        cut = half * chunk_bits
+        x = (x >> cut) ^ (x & ((1 << cut) - 1))
+        chunks -= half
+    return x
+
+
+def _xor_fold(data: bytes, params: CipherParams) -> int:
+    """Plain XOR of the W-bit blocks of whole-block ``data``."""
+    x = int.from_bytes(data, "big")
+    return _fold(x, len(data) // params.block_bytes, params.block_width_bits)
+
+
+def _digest(data: bytes, cw: int, params: CipherParams) -> int:
+    """Schedule digest of whole-block ``data``.
+
+    Blocks before the cycle are rotated one by one. The cycle's blocks are
+    XOR-folded per phase first, so only lam folds are rotated.
+    """
+    w = params.block_width_bits
+    bb = params.block_bytes
+    mask = params.word_mask
+    low = w - 1
+    n = len(data) // bb
+    states, mu = _schedule(cw, n, params)
+    mfd = 0
+    for b, c in zip(split_into_blocks(data[: mu * bb], params), states):
+        l = c & low
+        mfd ^= ((b << l) | (b >> (w - l))) & mask
+    lam = len(states) - mu
+    if lam:
+        folds = _fold(int.from_bytes(data[mu * bb :], "big"), -(-(n - mu) // lam), lam * w)
+        last = (n - 1 - mu) % lam  # the phase of the lowest word of folds
+        for q in range(lam):
+            f = (folds >> (q * w)) & mask
+            l = states[mu + (last - q) % lam] & low
+            mfd ^= ((f << l) | (f >> (w - l))) & mask
     return mfd
 
 
-def _rotate_blocks(blocks: list[int], cw: int, params: CipherParams) -> tuple[int, list[int]]:
-    """One pass producing both the digest and the left-rotated blocks."""
+def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -> bytes:
+    """Rotate each block of whole-block ``data`` by its schedule amount.
+
+    Left for protection, right (``inverse``) for recovery. Past W blocks the
+    data is rotated as one packed integer, once per distinct amount: a
+    periodic mask selects the words with that amount, and one shift each way
+    rotates all of them.
+    """
     w = params.block_width_bits
-    r = params.rotation_field_bits
+    bb = params.block_bytes
     mask = params.word_mask
-    low = (1 << r) - 1
-    top = w - r
-    mfd = 0
-    c = cw
-    out = []
-    for b in blocks:
-        l = c & low
-        rb = ((b << l) | (b >> (w - l))) & mask
-        mfd ^= rb
-        out.append(rb)
-        m = c >> top
-        c = ((c >> m) | (c << (w - m))) & mask
-    return mfd, out
+    low = w - 1
+    n = len(data) // bb
+    states, mu = _schedule(cw, n, params)
+    # right by l is left by W - l, and left by W is the identity
+    rots = [w - (c & low) for c in states] if inverse else [c & low for c in states]
+    lam = len(rots) - mu
+    if not lam:
+        out = 0
+        for b, l in zip(split_into_blocks(data, params), rots):
+            out = (out << w) | ((b << l) | (b >> (w - l))) & mask
+        return out.to_bytes(len(data), "big")
+    x = int.from_bytes(data, "big")
+    unit, zero = (1).to_bytes(bb, "big"), bytes(bb)
+    cycles = -(-(n - mu) // lam)
+    excess = (mu + cycles * lam - n) * w
+    out = 0
+    for a in set(rots):
+        flags = [unit if l == a else zero for l in rots]
+        ones = b"".join(flags[:mu]) + b"".join(flags[mu:]) * cycles
+        sel = int.from_bytes(ones, "big") >> excess  # the low bit of every selected word
+        lo = sel * ((1 << a) - 1)  # the low a bits of every selected word; sel * mask ^ lo the rest
+        out |= ((x << a) & (sel * mask ^ lo)) | ((x >> (w - a)) & lo)
+    return out.to_bytes(len(data), "big")
 
 
-def _derotate_blocks(blocks: list[int], cw: int, params: CipherParams) -> list[int]:
-    """Invert the per-block rotations by replaying the codeword schedule."""
-    w = params.block_width_bits
-    r = params.rotation_field_bits
-    mask = params.word_mask
-    low = (1 << r) - 1
-    top = w - r
-    c = cw
-    out = []
-    for b in blocks:
-        l = c & low
-        out.append(((b >> l) | (b << (w - l))) & mask)
-        m = c >> top
-        c = ((c >> m) | (c << (w - m))) & mask
-    return out
+def compute_mfd(blocks: list[int], cw: int, params: CipherParams) -> int:
+    """Digest of a block sequence under the codeword's rotation schedule.
+
+    The XOR of the blocks, each rotated left by the low r bits of its
+    codeword state. The caller's codeword is not modified; an empty sequence
+    digests to zero.
+    """
+    return _digest(join_blocks(blocks, params), cw, params)
+
+
+def _padded(data: bytes, params: CipherParams) -> bytes:
+    """``data`` zero-padded to a whole number of blocks."""
+    short = -len(data) % params.block_bytes
+    return data + bytes(short) if short else data
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -293,19 +377,27 @@ def protect_register(
         raise ValueError("codeword out of range for the block width")
 
     bb = params.block_bytes
-    blocks = split_into_blocks(message, params)
+    padded = _padded(message, params)
     if key.mode is ProtectionMode.SIGNATURE:
-        mfd = compute_mfd(blocks, cw, params)
-        data_field = message + b"\x00" * (len(blocks) * bb - len(message))
+        mfd = _digest(padded, cw, params)
+        data_field = padded
     else:
-        mfd, rotated = _rotate_blocks(blocks, cw, params)
-        plain = join_blocks(rotated, params)
-        data_field = _xor(plain, key.bits[: len(plain)])
+        rotated = _rotate(padded, cw, params)
+        mfd = _xor_fold(rotated, params)
+        data_field = _xor(rotated, key.bits[: len(rotated)])
 
     cw_mask = int.from_bytes(key.bits[-2 * bb : -bb], "big")
     mfd_mask = int.from_bytes(key.bits[-bb:], "big")
     key.consumed = True
     return Register(key.mode, len(message), data_field, cw ^ cw_mask, mfd ^ mfd_mask)
+
+
+# A failed or signature-mode check carries no plaintext, so one immutable
+# result per outcome serves every call.
+_LENGTH_REJECT = CheckResult(False, CheckReason.KEY_LENGTH_MISMATCH)
+_DIGEST_REJECT = CheckResult(False, CheckReason.DIGEST_MISMATCH)
+_PADDING_REJECT = CheckResult(False, CheckReason.PADDING_NONZERO)
+_SIGNATURE_OK = CheckResult(True, CheckReason.OK)
 
 
 def check_register(
@@ -319,25 +411,30 @@ def check_register(
     """
     need = required_key_octets(reg.mode, reg.length, params)
     if len(key.bits) != need:
-        return CheckResult(False, CheckReason.KEY_LENGTH_MISMATCH)
+        return _LENGTH_REJECT
 
     bb = params.block_bytes
-    cw = reg.masked_cw ^ int.from_bytes(key.bits[-2 * bb : -bb], "big")
-    claimed = reg.masked_mfd ^ int.from_bytes(key.bits[-bb:], "big")
+    masks = int.from_bytes(key.bits[-2 * bb :], "big")
+    cw = reg.masked_cw ^ (masks >> params.block_width_bits)
+    claimed = reg.masked_mfd ^ (masks & params.word_mask)
 
     if reg.mode is ProtectionMode.SIGNATURE:
-        blocks = split_into_blocks(reg.data_field, params)
-        if compute_mfd(blocks, cw, params) != claimed:
-            return CheckResult(False, CheckReason.DIGEST_MISMATCH)
-        return CheckResult(True, CheckReason.OK)
+        data = reg.data_field
+        if len(data) % bb:
+            data = _padded(data, params)
+        if _digest(data, cw, params) != claimed:
+            return _DIGEST_REJECT
+        return _SIGNATURE_OK
 
-    unmasked = _xor(reg.data_field, key.bits[: len(reg.data_field)])
-    candidate = _derotate_blocks(split_into_blocks(unmasked, params), cw, params)
-    if compute_mfd(candidate, cw, params) != claimed:
-        return CheckResult(False, CheckReason.DIGEST_MISMATCH)
-    plain = join_blocks(candidate, params)
+    # The digest of the derotated blocks is the plain XOR fold of the
+    # unmasked ones (each derotation undoes its rotation), so only the
+    # recovered plaintext needs the schedule.
+    unmasked = _padded(_xor(reg.data_field, key.bits[: len(reg.data_field)]), params)
+    if _xor_fold(unmasked, params) != claimed:
+        return _DIGEST_REJECT
+    plain = _rotate(unmasked, cw, params, inverse=True)
     if any(plain[reg.length :]):
-        return CheckResult(False, CheckReason.PADDING_NONZERO)
+        return _PADDING_REJECT
     return CheckResult(True, CheckReason.OK, plain[: reg.length])
 
 

@@ -66,6 +66,20 @@ def rotated_blocks_reference(blocks: list[int], cw: int, width: int) -> list[int
     return out
 
 
+def derotated_blocks_reference(blocks: list[int], cw: int, width: int) -> list[int]:
+    """The per-block right rotations that undo rotated_blocks_reference."""
+    r = width.bit_length() - 1
+    out = []
+    c = cw
+    for b in blocks:
+        state = format(c, f"0{width}b")
+        left = int(state[-r:], 2)
+        right = int(state[:r], 2)
+        out.append(rotr_bits(b, left, width))
+        c = rotr_bits(c, right, width)
+    return out
+
+
 def xor_reference(a: bytes, b: bytes) -> bytes:
     assert len(a) == len(b)
     return bytes(x ^ y for x, y in zip(a, b))

@@ -3,6 +3,8 @@
 import json
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from agentpad.cipher import (
     LengthMismatchError,
     OneTimeKey,
     ProtectionMode,
+    Register,
     WidthTooLargeError,
     check_register,
     compute_mfd,
@@ -29,13 +32,41 @@ from agentpad.cipher import (
     rotate_right,
     split_into_blocks,
 )
-from oracles import digest_reference, protect_reference, rotl_bits, rotr_bits
+from oracles import (
+    digest_reference,
+    protect_reference,
+    rotated_blocks_reference,
+    rotl_bits,
+    rotr_bits,
+    split_reference,
+)
 
 P8 = CipherParams(8)
 P64 = CipherParams(64)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "registers.json").read_text())
 
 widths = st.sampled_from((8, 16, 32, 64))
+
+
+def symmetric_codewords(width):
+    """Codewords equal to some of their own rotations: short schedule cycles."""
+    octets = width // 8
+    return [
+        0,
+        (1 << width) - 1,
+        int.from_bytes(b"\x01" * octets, "big"),
+        int.from_bytes(b"\x55" * octets, "big"),
+    ]
+
+
+@st.composite
+def schedule_cases(draw):
+    """(width, codeword, data) with up to 4W + 8 blocks, past any schedule period."""
+    width = draw(widths)
+    any_cw = st.integers(0, (1 << width) - 1)
+    cw = draw(st.one_of(any_cw, st.sampled_from(symmetric_codewords(width))))
+    octets = draw(st.integers(0, 4 * width + 8)) * (width // 8)
+    return width, cw, draw(st.binary(min_size=octets, max_size=octets))
 
 
 def make_key(rng, mode, message_octets, params):
@@ -156,6 +187,54 @@ class TestDigest:
         assert cw == 0x41
 
 
+class TestScheduleKernel:
+    """The period-folded kernel against the straight-loop oracles, past the period."""
+
+    @given(schedule_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_digest_matches_oracle(self, case):
+        width, cw, data = case
+        blocks = split_reference(data, width)
+        assert compute_mfd(blocks, cw, CipherParams(width)) == digest_reference(blocks, cw, width)
+
+    @given(schedule_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rotation_matches_oracle(self, case):
+        # a zero key leaves the rotated blocks and the digest in the clear
+        width, cw, message = case
+        params = CipherParams(width)
+        key = OneTimeKey(ProtectionMode.ENCRYPTION, bytes(len(message) + width // 4))
+        reg = protect_register(message, cw, key, params)
+        blocks = split_reference(message, width)
+        rotated = rotated_blocks_reference(blocks, cw, width)
+        assert reg.data_field == b"".join(b.to_bytes(width // 8, "big") for b in rotated)
+        assert reg.masked_mfd == digest_reference(blocks, cw, width)
+
+    @given(schedule_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_derotation_is_the_exact_inverse(self, case):
+        # any whole-block image, stored under a zero key with its XOR fold as
+        # the digest, derotates to the one plaintext that rotates back to it
+        width, cw, image = case
+        params = CipherParams(width)
+        key = OneTimeKey(ProtectionMode.ENCRYPTION, bytes(len(image) + width // 4))
+        fold = reduce(xor, split_reference(image, width), 0)
+        reg = Register(ProtectionMode.ENCRYPTION, len(image), image, cw, fold)
+        result = check_register(reg, key, params)
+        assert result.valid
+        back = protect_register(result.plaintext, cw, key, params)
+        assert back.data_field == image
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_symmetric_codewords_fold_by_their_short_cycle(self, width):
+        params = CipherParams(width)
+        rng = random.Random(width)
+        blocks = [rng.getrandbits(width) for _ in range(4 * width + 8)]
+        for cw in symmetric_codewords(width):
+            assert compute_mfd(blocks, cw, params) == digest_reference(blocks, cw, width)
+        assert compute_mfd(blocks, 0, params) == reduce(xor, blocks, 0)
+
+
 class TestProtect:
     def test_degenerate_zero_signature(self):
         key = OneTimeKey(ProtectionMode.SIGNATURE, b"\x00\x00")
@@ -204,6 +283,25 @@ class TestProtect:
         assert reg.data_field == ref["data_field"]
         assert reg.masked_cw == ref["masked_cw"]
         assert reg.masked_mfd == ref["masked_mfd"]
+
+    @pytest.mark.parametrize("encrypt", [False, True])
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    @given(length=st.integers(1024, 4096), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_matches_reference_on_kib_messages(self, width, encrypt, length, seed):
+        params = CipherParams(width)
+        rng = random.Random(seed)
+        message = rng.randbytes(length)
+        mode = ProtectionMode.ENCRYPTION if encrypt else ProtectionMode.SIGNATURE
+        cw = rng.getrandbits(width)
+        key = make_key(rng, mode, len(message), params)
+        reg = protect_register(message, cw, key, params)
+        ref = protect_reference(message, cw, key.bits, "encrypt" if encrypt else "sign", width)
+        assert reg.data_field == ref["data_field"]
+        assert (reg.masked_cw, reg.masked_mfd) == (ref["masked_cw"], ref["masked_mfd"])
+        result = check_register(reg, OneTimeKey(mode, key.bits), params)
+        assert result.valid
+        assert result.plaintext == (message if encrypt else None)
 
     def test_consumed_key_rejected(self):
         key = OneTimeKey(ProtectionMode.SIGNATURE, b"\x12\x34")

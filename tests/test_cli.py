@@ -1,12 +1,14 @@
 """CLI contract: subcommands, exit codes, stdout/stderr split."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import agentpad
 from agentpad.cli import main
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -148,10 +150,15 @@ class TestUsage:
         assert exc.value.code == 1
 
     def test_module_entry_point(self):
+        # the child imports the same package as this test, however pytest found it
+        src = str(Path(agentpad.__file__).parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
         proc = subprocess.run(
             [sys.executable, "-m", "agentpad", "run", str(SCENARIO_DIR / "honest.json")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verification"]["verdict"] == "accept"
