@@ -20,7 +20,6 @@ import struct
 from dataclasses import dataclass, replace
 
 from .cipher import (
-    CheckResult,
     CipherParams,
     DEFAULT_PARAMS,
     OneTimeKey,
@@ -206,14 +205,3 @@ def remove_own_register(area: AgentDataArea, index: int) -> AgentDataArea:
     del registers[index]
     return replace(area, registers=tuple(registers))
 
-
-def check_pairs(
-    area: AgentDataArea, key: OneTimeKey, params: CipherParams = DEFAULT_PARAMS
-) -> list[tuple[int, CheckResult]]:
-    """Every register index the key validates, with the full check result."""
-    out = []
-    for ri, reg in enumerate(area.registers):
-        result = check_register(reg, key, params)
-        if result.valid:
-            out.append((ri, result))
-    return out

@@ -2,11 +2,12 @@
 
 The protocol is non-interactive: after dispatch the agent server exchanges
 nothing with peer hosts until the agent returns. Hosts protect their own
-contributions with one-time keys, report each visit to the route servers,
-and surrender their keys only when the returned agent's server asks. The
-server then reconciles keys against registers: acceptance demands a perfect
-one-to-one matching plus route consistency, so erased registers surface as
-orphan keys and injected registers as unmatched ones.
+contributions with one-time keys, report each visit to the route servers
+with a RouteLogEntry, and surrender their keys only when the returned
+agent's server asks. The server then reconciles keys against registers:
+acceptance demands a perfect one-to-one matching plus route consistency, so
+erased registers surface as orphan keys and injected registers as unmatched
+ones.
 
 Message wire layouts (big-endian throughout):
 
@@ -16,6 +17,9 @@ Message wire layouts (big-endian throughout):
     RouteAnswer     count (4) + host ids (8 each)
     KeyRequest      agent id (16)
     KeyResponse     count (4) + per key: mode octet, bit length (4), octets
+
+``MESSAGE_CODECS`` maps each message class to its trace kind, encoder and
+decoder; the simulator's bus sends every message through it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from .cipher import (
     CipherParams,
@@ -187,6 +191,16 @@ def decode_key_response(raw: bytes, owner: bytes = b"") -> KeyResponse:
     return KeyResponse(tuple(keys))
 
 
+MESSAGE_CODECS: dict[type, tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {
+    AgentTransfer: ("agent_transfer", encode_agent_transfer, decode_agent_transfer),
+    RouteLogEntry: ("route_log", encode_route_log_entry, decode_route_log_entry),
+    RouteQuery: ("route_query", encode_route_query, decode_route_query),
+    RouteAnswer: ("route_answer", encode_route_answer, decode_route_answer),
+    KeyRequest: ("key_request", encode_key_request, decode_key_request),
+    KeyResponse: ("key_response", encode_key_response, decode_key_response),
+}
+
+
 # --- peer host ---------------------------------------------------------------
 
 
@@ -198,12 +212,11 @@ class KeyRecord:
 
 @dataclass
 class PeerHostState:
-    """A visited host: its identity, live keys, and behavior profile."""
+    """A visited host: its identity, rng, and live keys."""
 
     id: bytes
     rng: Any
     keystore: list[KeyRecord] = field(default_factory=list)
-    behavior: Any = None
 
     def keys_for(self, agent: bytes) -> list[OneTimeKey]:
         return [rec.key for rec in self.keystore if rec.agent == agent]
@@ -230,19 +243,14 @@ def host_handle_agent(
     area: AgentDataArea,
     intent: VisitIntent,
     mode: ProtectionMode,
-    route_servers: list["RouteServerState"],
     params: CipherParams = DEFAULT_PARAMS,
 ) -> tuple[PeerHostState, AgentDataArea]:
     """Honest handling of one visit.
 
-    Reports the visit to every route server, then applies the intent: fresh
-    codeword and key for appends and edits (the old key is discarded on
-    edit), key deletion together with register removal. Always logs the
-    visit even when contributing nothing.
+    Applies the intent: fresh codeword and key for appends and edits (the
+    old key is discarded on edit), key deletion together with register
+    removal. Reporting the visit to the route servers is the caller's job.
     """
-    for rs in route_servers:
-        route_log_visit(rs, area.agent, host.id)
-
     if intent.action == "idle":
         return host, area
     if intent.action == "append":
@@ -285,9 +293,7 @@ def _host_append(host, area, payload, mode, params):
     return host, area
 
 
-def host_send_keys(
-    host: PeerHostState, server: bytes, agent: bytes
-) -> tuple[PeerHostState, KeyResponse]:
+def host_send_keys(host: PeerHostState, agent: bytes) -> tuple[PeerHostState, KeyResponse]:
     """Surrender every key held for ``agent`` and delete them locally.
 
     Draining is one-shot by construction: a second request finds nothing.
@@ -340,14 +346,11 @@ class DispatchRecord:
 
 @dataclass
 class AgentServerState:
-    """The dispatching server and everything it accumulates per agent."""
+    """The dispatching server and the plan of every agent it dispatched."""
 
     id: bytes
     rng: Any
     dispatched: dict[bytes, DispatchRecord] = field(default_factory=dict)
-    received_areas: dict[bytes, AgentDataArea] = field(default_factory=dict)
-    collected_keys: dict[bytes, dict[bytes, list[OneTimeKey]]] = field(default_factory=dict)
-    route_answers: dict[bytes, list[list[bytes]]] = field(default_factory=dict)
 
 
 def server_dispatch(

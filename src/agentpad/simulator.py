@@ -2,10 +2,13 @@
 
 A scenario names one agent server, one or more route servers, a set of peer
 hosts with behavior profiles, and a route (revisits allowed). The simulator
-is a single-threaded bus: it delivers every message synchronously, stamps it
-with a monotonically increasing logical time, and records it in the trace.
-Given the same scenario and seed the report is bit-identical; there is no
-latency model because nothing in the protocol depends on timing.
+is a single-threaded bus: every protocol message goes through one
+``deliver()``, which applies the channel policy, encodes the message with
+its wire codec, decodes it, stamps it with a monotonically increasing
+logical time and records it in the trace. The receiving role acts only on
+the decoded copy, so the trace is the execution. Given the same scenario
+and seed the report is bit-identical; there is no latency model because
+nothing in the protocol depends on timing.
 
 Adversary profiles:
 
@@ -43,6 +46,7 @@ from .cipher import (
 )
 from .codec import AgentDataArea, decode_area, encode_area
 from .protocol import (
+    MESSAGE_CODECS,
     AgentServerState,
     AgentTransfer,
     KeyRequest,
@@ -56,12 +60,6 @@ from .protocol import (
     DiscardReason,
     VerificationReport,
     VisitIntent,
-    encode_agent_transfer,
-    encode_key_request,
-    encode_key_response,
-    encode_route_answer,
-    encode_route_log_entry,
-    encode_route_query,
     host_handle_agent,
     host_id,
     host_label,
@@ -458,13 +456,14 @@ def run_scenario(scenario: Scenario) -> SimReport:
     """Play out a scenario end to end and reconcile the returned agent.
 
     Flow: dispatch along the route applying each host's behavior (every visit
-    is reported to every route server before the agent moves on); on return,
+    is reported to every route server before the host acts); on return,
     query the route servers, and if they agree, request keys from each logged
     host and reconcile. Pure in everything but its own local state: the same
     scenario yields a bit-identical report.
     """
     validate_scenario(scenario)
     params = scenario.params
+    abort = scenario.policy_mode == "abort"
     master = random.Random(scenario.seed)
     server_rng = random.Random(master.getrandbits(64))
     host_rngs = {cfg.id: random.Random(master.getrandbits(64)) for cfg in scenario.hosts}
@@ -472,24 +471,32 @@ def run_scenario(scenario: Scenario) -> SimReport:
     server = AgentServerState(host_id(scenario.agent_server), server_rng)
     rs_states = {label: RouteServerState() for label in scenario.route_servers}
     hosts = {
-        cfg.id: _HostRuntime(cfg, PeerHostState(host_id(cfg.id), host_rngs[cfg.id], behavior=cfg.behavior))
+        cfg.id: _HostRuntime(cfg, PeerHostState(host_id(cfg.id), host_rngs[cfg.id]))
         for cfg in scenario.hosts
     }
 
     trace: list[SimEvent] = []
     violations: list[dict] = []
-    clock = 0
 
-    def deliver(kind: str, src: str, dst: str, octets: int, detail: dict | None = None) -> SimEvent:
-        nonlocal clock
-        clock += 1
-        security = channel_between(scenario, src, dst).security.value
-        info = {"octets": octets}
-        if detail:
-            info.update(detail)
-        event = SimEvent(clock, kind, src, dst, security, info)
-        trace.append(event)
-        return event
+    def deliver(src: str, dst: str, message):
+        """Police, encode, decode and trace one message; the receiver acts on
+        the decoded copy returned. None when the abort policy stops it."""
+        channel = channel_between(scenario, src, dst)
+        violation = enforce_channel_policy(message, channel)
+        if violation:
+            violations.append({**violation, "aborted": abort})
+            if abort:
+                return None
+        kind, encode, decode = MESSAGE_CODECS[type(message)]
+        raw = encode(message)
+        received = decode(raw)
+        detail = {"octets": len(raw)}
+        if isinstance(received, RouteAnswer):
+            detail["hosts"] = [host_label(h) for h in received.hosts]
+        elif isinstance(received, KeyResponse):
+            detail["keys"] = len(received.keys)
+        trace.append(SimEvent(len(trace) + 1, kind, src, dst, channel.security.value, detail))
+        return received
 
     server, area = server_dispatch(
         server,
@@ -500,36 +507,22 @@ def run_scenario(scenario: Scenario) -> SimReport:
     image = encode_area(area, params)
 
     carrier = scenario.agent_server
-    dispatch_time = None
-    for hop, label in enumerate(scenario.route):
-        raw = encode_agent_transfer(AgentTransfer(agent, image))
-        event = deliver("agent_transfer", carrier, label, len(raw))
-        if hop == 0:
-            dispatch_time = event.time
-        area = decode_area(image, agent, params)
-        area = _apply_visit(hosts[label], area, rs_states, scenario, deliver, violations, params)
+    for label in scenario.route:
+        transfer = deliver(carrier, label, AgentTransfer(agent, image))
+        area = decode_area(transfer.area_image, transfer.agent, params)
+        area = _apply_visit(hosts[label], area, rs_states, deliver, violations, params)
         image = encode_area(area, params)
         carrier = label
 
-    raw = encode_agent_transfer(AgentTransfer(agent, image))
-    return_time = deliver("agent_transfer", carrier, scenario.agent_server, len(raw)).time
-    area = decode_area(image, agent, params)
-    server.received_areas[agent] = area
+    transfer = deliver(carrier, scenario.agent_server, AgentTransfer(agent, image))
+    area = decode_area(transfer.area_image, transfer.agent, params)
 
     answers = []
-    for label in scenario.route_servers:
-        deliver("route_query", scenario.agent_server, label, len(encode_route_query(RouteQuery(agent))))
-        logged = route_get(rs_states[label], agent)
-        answer = RouteAnswer(tuple(logged))
-        deliver(
-            "route_answer",
-            label,
-            scenario.agent_server,
-            len(encode_route_answer(answer)),
-            {"hosts": [host_label(h) for h in logged]},
-        )
-        answers.append(logged)
-    server.route_answers[agent] = answers
+    for label, rs in rs_states.items():
+        query = deliver(scenario.agent_server, label, RouteQuery(agent))
+        logged = RouteAnswer(tuple(route_get(rs, query.agent)))
+        answer = deliver(label, scenario.agent_server, logged)
+        answers.append(list(answer.hosts))
 
     merged = merge_route_answers(answers)
     if merged is None:
@@ -540,32 +533,18 @@ def run_scenario(scenario: Scenario) -> SimReport:
         for hid in dict.fromkeys(merged):
             label = host_label(hid)
             runtime = hosts[label]
-            deliver("key_request", scenario.agent_server, label, len(encode_key_request(KeyRequest(agent))))
-            _, response = host_send_keys(runtime.state, server.id, agent)
-            keys = list(response.keys)
+            request = deliver(scenario.agent_server, label, KeyRequest(agent))
+            _, response = host_send_keys(runtime.state, request.agent)
+            keys = response.keys
             if runtime.config.behavior.kind == ORPHAN_KEY:
                 bogus_bits = runtime.state.rng.randbytes(params.signature_width_bits // 8)
-                keys.append(OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits, runtime.state.id))
-            response = KeyResponse(tuple(keys))
-            channel = channel_between(scenario, label, scenario.agent_server)
-            violation = enforce_channel_policy(response, channel)
-            if violation:
-                violation = {**violation, "aborted": scenario.policy_mode == "abort"}
-                violations.append(violation)
-                if scenario.policy_mode == "abort":
-                    continue
-            deliver(
-                "key_response",
-                label,
-                scenario.agent_server,
-                len(encode_key_response(response)),
-                {"keys": len(keys)},
-            )
-            collected[hid] = keys
-        server.collected_keys[agent] = collected
+                keys += (OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits, runtime.state.id),)
+            response = deliver(label, scenario.agent_server, KeyResponse(keys))
+            if response is not None:
+                collected[hid] = list(response.keys)
         verification = server_reconcile(server, agent, area, collected, merged, params)
 
-    assertions = _trace_assertions(trace, dispatch_time, return_time, scenario, violations)
+    assertions = _trace_assertions(trace, scenario, violations)
     return SimReport(trace, verification, violations, assertions)
 
 
@@ -573,7 +552,6 @@ def _apply_visit(
     runtime: _HostRuntime,
     area: AgentDataArea,
     rs_states: dict[str, RouteServerState],
-    scenario: Scenario,
     deliver,
     violations: list[dict],
     params: CipherParams,
@@ -583,13 +561,12 @@ def _apply_visit(
     state = runtime.state
     first = runtime.visits == 0
     runtime.visits += 1
-    log_octets = len(encode_route_log_entry(RouteLogEntry(area.agent, state.id)))
+    for label, rs in rs_states.items():
+        entry = deliver(cfg.id, label, RouteLogEntry(area.agent, state.id))
+        route_log_visit(rs, entry.agent, entry.host)
 
     if profile.kind == BRAINWASH_REPLAY and not first:
         # looks like any other visit to the route servers, then swaps the area
-        for label in scenario.route_servers:
-            route_log_visit(rs_states[label], area.agent, state.id)
-            deliver("route_log", cfg.id, label, log_octets)
         restored, _ = apply_adversary(profile, area, params, runtime.snapshot)
         return restored
 
@@ -599,11 +576,7 @@ def _apply_visit(
             violations.append({**note, "host": cfg.id})
 
     intent = _intent_for(cfg, first)
-    state, area = host_handle_agent(
-        state, area, intent, cfg.mode, [rs_states[label] for label in scenario.route_servers], params
-    )
-    for label in scenario.route_servers:
-        deliver("route_log", cfg.id, label, log_octets)
+    state, area = host_handle_agent(state, area, intent, cfg.mode, params)
 
     if profile.kind == KEY_REUSE and first:
         keys = state.keys_for(area.agent)
@@ -627,13 +600,11 @@ def _apply_visit(
 
 
 def _trace_assertions(
-    trace: list[SimEvent],
-    dispatch_time: int,
-    return_time: int,
-    scenario: Scenario,
-    violations: list[dict],
+    trace: list[SimEvent], scenario: Scenario, violations: list[dict]
 ) -> dict[str, bool]:
     """Mechanical checks over the delivered-message trace."""
+    transfers = [event.time for event in trace if event.kind == "agent_transfer"]
+    dispatch_time, return_time = transfers[0], transfers[-1]
     host_labels = {cfg.id for cfg in scenario.hosts}
     server = scenario.agent_server
 

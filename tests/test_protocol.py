@@ -190,24 +190,22 @@ class TestDispatch:
 class TestHostVisits:
     def test_fresh_append(self):
         host = fresh_host("alpha", 4)
-        rs = [RouteServerState(), RouteServerState()]
         area = AgentDataArea(AGENT)
         host, area = host_handle_agent(
-            host, area, VisitIntent("append", b"hello"), ProtectionMode.SIGNATURE, rs, P64
+            host, area, VisitIntent("append", b"hello"), ProtectionMode.SIGNATURE, P64
         )
         assert len(area.registers) == 1
         assert len(host.keystore) == 1
-        assert all(route_get(s, AGENT) == [host.id] for s in rs)
 
     def test_revisit_edit_swaps_key(self):
         host = fresh_host("alpha", 5)
         area = AgentDataArea(AGENT)
         host, area = host_handle_agent(
-            host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, [], P64
+            host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, P64
         )
         old_key = OneTimeKey(ProtectionMode.SIGNATURE, host.keystore[0].key.bits)
         host, area = host_handle_agent(
-            host, area, VisitIntent("edit", b"v2"), ProtectionMode.SIGNATURE, [], P64
+            host, area, VisitIntent("edit", b"v2"), ProtectionMode.SIGNATURE, P64
         )
         assert len(area.registers) == 1
         assert len(host.keystore) == 1
@@ -222,23 +220,23 @@ class TestHostVisits:
         host = fresh_host("alpha", 6)
         area = AgentDataArea(AGENT)
         host, area = host_handle_agent(
-            host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, [], P64
+            host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, P64
         )
         host, area = host_handle_agent(
-            host, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, [], P64
+            host, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64
         )
         assert area.registers == ()
         assert host.keystore == []
 
     def test_idle_logs_but_contributes_nothing(self):
+        # the simulator logs every visit, idle ones included (see
+        # test_simulator's TestRouteLogging)
         host = fresh_host("alpha", 7)
-        rs = [RouteServerState()]
         host, area = host_handle_agent(
-            host, AgentDataArea(AGENT), VisitIntent("idle"), ProtectionMode.SIGNATURE, rs, P64
+            host, AgentDataArea(AGENT), VisitIntent("idle"), ProtectionMode.SIGNATURE, P64
         )
         assert area.registers == ()
         assert host.keystore == []
-        assert route_get(rs[0], AGENT) == [host.id]
 
     def test_gen_key_checked_against_current_area(self):
         # a key that would validate a foreign register must be redrawn; rig the
@@ -265,7 +263,7 @@ class TestHostVisits:
         host = PeerHostState(ALPHA, FirstCollides(foreign_key.bits))
         area = append_register(AgentDataArea(AGENT), reg)
         host, area = host_handle_agent(
-            host, area, VisitIntent("append", b"mine-ok"), ProtectionMode.SIGNATURE, [], P64
+            host, area, VisitIntent("append", b"mine-ok"), ProtectionMode.SIGNATURE, P64
         )
         assert host.keystore[0].key.bits != foreign_key.bits
 
@@ -274,24 +272,24 @@ class TestSendKeys:
     def test_drain_once(self):
         host = fresh_host("alpha", 10)
         host, _ = host_handle_agent(
-            host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, [], P64
+            host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, P64
         )
-        host, response = host_send_keys(host, host_id("server"), AGENT)
+        host, response = host_send_keys(host, AGENT)
         assert len(response.keys) == 1
         assert host.keystore == []
-        host, second = host_send_keys(host, host_id("server"), AGENT)
+        host, second = host_send_keys(host, AGENT)
         assert second.keys == ()
 
     def test_other_agents_keys_survive(self):
         host = fresh_host("alpha", 11)
         other = bytes(16)
         host, _ = host_handle_agent(
-            host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, [], P64
+            host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, P64
         )
         host, _ = host_handle_agent(
-            host, AgentDataArea(other), VisitIntent("append", b"y"), ProtectionMode.SIGNATURE, [], P64
+            host, AgentDataArea(other), VisitIntent("append", b"y"), ProtectionMode.SIGNATURE, P64
         )
-        host, response = host_send_keys(host, host_id("server"), AGENT)
+        host, response = host_send_keys(host, AGENT)
         assert len(response.keys) == 1
         assert len(host.keystore) == 1
         assert host.keystore[0].agent == other
@@ -388,10 +386,10 @@ class TestReconcile:
         beta = fresh_host("beta", 14)
         area, responses = honest_area(self.rng, [(ALPHA, b"kept", ProtectionMode.SIGNATURE)])
         beta, area = host_handle_agent(
-            beta, area, VisitIntent("append", b"gone"), ProtectionMode.SIGNATURE, [], P64
+            beta, area, VisitIntent("append", b"gone"), ProtectionMode.SIGNATURE, P64
         )
-        beta, area = host_handle_agent(beta, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, [], P64)
-        beta, response = host_send_keys(beta, host_id("server"), AGENT)
+        beta, area = host_handle_agent(beta, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64)
+        beta, response = host_send_keys(beta, AGENT)
         responses[BETA] = list(response.keys)
         report = server_reconcile(self.server, AGENT, area, responses, [ALPHA, BETA, BETA], P64)
         assert report.verdict is Verdict.ACCEPT

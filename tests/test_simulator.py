@@ -1,5 +1,6 @@
 """Scenario simulation: adversary detection, channel policy, determinism."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -9,7 +10,14 @@ import pytest
 
 from agentpad.cipher import CipherParams, OneTimeKey, ProtectionMode
 from agentpad.codec import AgentDataArea, append_register
-from agentpad.protocol import DiscardReason, Verdict, host_id
+from agentpad.protocol import (
+    MESSAGE_CODECS,
+    DiscardReason,
+    Verdict,
+    decode_key_response,
+    encode_key_response,
+    host_id,
+)
 from agentpad.simulator import (
     BehaviorProfile,
     Channel,
@@ -193,6 +201,73 @@ class TestAdversaries:
         }
         report = run_scenario(scenario_from_dict(raw))
         assert any(v["kind"] == "adversary_target_missing" for v in report.policy_violations)
+
+
+class TestGoldenReports:
+    # SHA-256 of run_scenario(...).to_json() for every bundled scenario under
+    # both policy modes; pins bit-identical reports across changes to the code
+    GOLDEN_REPORTS = {
+        ("brainwash", "record"): "2c3aadc045c43105bd770c1ac464d1e9660106a9081490cc8008c90618f387fe",
+        ("brainwash", "abort"): "2c3aadc045c43105bd770c1ac464d1e9660106a9081490cc8008c90618f387fe",
+        ("counterfeit", "record"): "a60fa7397fd872744724d164052134d675c95f8644f50b51406d1e32f2ba6f0e",
+        ("counterfeit", "abort"): "a60fa7397fd872744724d164052134d675c95f8644f50b51406d1e32f2ba6f0e",
+        ("erase_foreign", "record"): "66d8f69622ba63804a9cde1ae03d037834a04f50a01628c8cd898e433f6de40f",
+        ("erase_foreign", "abort"): "66d8f69622ba63804a9cde1ae03d037834a04f50a01628c8cd898e433f6de40f",
+        ("honest", "record"): "5522ab8bc482ebcb86515fbb281370a0901d3470f73ff296b80d7f81415e2c9a",
+        ("honest", "abort"): "5522ab8bc482ebcb86515fbb281370a0901d3470f73ff296b80d7f81415e2c9a",
+        ("insecure_channel", "record"): "66b318142bcc1034f9448777f23b055615203dec6a5c559343c4e9c31211dd05",
+        ("insecure_channel", "abort"): "0410b2d81746d75527344e3ca1c33b657e2f966094d61596447899cdbbed0a2c",
+        ("key_reuse", "record"): "9feede0a7018a9fbff64e02c7b9ba2a43e18a6212fddd2a325fa2dbd940a4bf4",
+        ("key_reuse", "abort"): "9feede0a7018a9fbff64e02c7b9ba2a43e18a6212fddd2a325fa2dbd940a4bf4",
+        ("orphan_key", "record"): "00653eac336919b95a5d8d07577b16d1f5775e06936e20e9b38ca214a763c548",
+        ("orphan_key", "abort"): "00653eac336919b95a5d8d07577b16d1f5775e06936e20e9b38ca214a763c548",
+    }
+
+    @pytest.mark.parametrize("name, policy", sorted(GOLDEN_REPORTS))
+    def test_golden_report(self, name, policy):
+        scenario = replace(load_scenario(SCENARIO_DIR / f"{name}.json"), policy_mode=policy)
+        digest = hashlib.sha256(run_scenario(scenario).to_json().encode()).hexdigest()
+        assert digest == self.GOLDEN_REPORTS[name, policy]
+
+    def test_golden_reports_cover_every_bundled_scenario(self):
+        names = {path.stem for path in SCENARIO_DIR.glob("*.json")}
+        assert {name for name, _ in self.GOLDEN_REPORTS} == names
+
+
+class TestRouteLogging:
+    def test_idle_and_replay_visits_reach_every_route_server(self):
+        raw = basic_raw(
+            route_servers=["rs1", "rs2"],
+            hosts=[
+                {"id": "mallory", "payload": "6d61", "behavior": {"profile": "brainwash_replay"}},
+                {"id": "idler"},
+                {"id": "beta", "payload": "bb02", "mode": "encrypt"},
+            ],
+            route=["mallory", "idler", "beta", "mallory", "idler"],
+        )
+        report = run_scenario(scenario_from_dict(raw))
+        # the replay itself is caught (beta's key is orphaned) ...
+        assert report.verification.reason is DiscardReason.ORPHAN_KEY
+        # ... and every visit, idle or replayed, was logged in route order
+        answers = {e.src: e.detail["hosts"] for e in report.trace if e.kind == "route_answer"}
+        assert answers == {"rs1": raw["route"], "rs2": raw["route"]}
+        logs = [(e.src, e.dst) for e in report.trace if e.kind == "route_log"]
+        assert logs == [(label, rs) for label in raw["route"] for rs in ("rs1", "rs2")]
+
+
+class TestWire:
+    def test_receivers_act_on_the_decoded_message(self, monkeypatch):
+        # an encoder that loses the last key must change what the server sees
+        def lossy(msg):
+            return encode_key_response(KeyResponse(msg.keys[:-1]))
+
+        monkeypatch.setitem(
+            MESSAGE_CODECS, KeyResponse, ("key_response", lossy, decode_key_response)
+        )
+        report = run_scenario(load_scenario(SCENARIO_DIR / "honest.json"))
+        assert report.verification.verdict is Verdict.DISCARD
+        assert report.verification.reason is DiscardReason.UNMATCHED_REGISTER
+        assert [e.detail["keys"] for e in report.trace if e.kind == "key_response"] == [0, 0, 0]
 
 
 class TestApplyAdversary:
