@@ -124,11 +124,12 @@ class OneTimeKey:
 
     Signature keys are 2W bits; encryption keys are padded-data-bits + 2W.
     ``consumed`` flips when the key protects a register and is never reset.
+    A key names no host: the holder keeps it, and the agent server learns
+    whose it is from the host that surrendered it.
     """
 
     mode: ProtectionMode
     bits: bytes
-    owner: bytes = b""
     consumed: bool = False
 
     def bit_length(self) -> int:
@@ -445,7 +446,6 @@ def gen_key(
     host_keystore: Iterable[OneTimeKey],
     rng,
     params: CipherParams = DEFAULT_PARAMS,
-    owner: bytes = b"",
 ) -> OneTimeKey:
     """Draw a one-time key that is provably new for this data area.
 
@@ -464,7 +464,7 @@ def gen_key(
         bits = rng.randbytes(nbytes)
         if bits in used:
             continue
-        candidate = OneTimeKey(mode, bits, owner)
+        candidate = OneTimeKey(mode, bits)
         if any(check_register(reg, candidate, params).valid for reg in registers):
             continue
         return candidate

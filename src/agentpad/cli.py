@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cipher import (
+    VALID_WIDTHS,
     CipherParams,
     ProtectionMode,
     WidthTooLargeError,
@@ -28,9 +29,13 @@ from .cipher import (
 )
 from .codec import CodecError, decode_key, decode_register, encode_key, encode_register
 from .protocol import Verdict
-from .simulator import InvalidScenarioError, load_scenario, run_scenario
-
-MODE_WORDS = {"sign": ProtectionMode.SIGNATURE, "encrypt": ProtectionMode.ENCRYPTION}
+from .simulator import (
+    MODE_WORDS,
+    InvalidScenarioError,
+    load_scenario,
+    run_scenario,
+    validate_scenario,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +62,13 @@ def _write_octets(data: bytes, out: str | None) -> None:
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+            validate_scenario(scenario)
     except OSError as exc:
         return _fail(f"cannot read scenario: {exc}")
     except InvalidScenarioError as exc:
         return _fail(f"invalid scenario: {exc}")
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     report = run_scenario(scenario)
     text = report.to_json()
     print(text)
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     protect.add_argument("input", help="message octets to protect")
     protect.add_argument("--key", required=True, help="where to write the generated key")
     protect.add_argument("--mode", choices=sorted(MODE_WORDS), default="sign")
-    protect.add_argument("--width", type=int, choices=(8, 16, 32, 64), default=64)
+    protect.add_argument("--width", type=int, choices=VALID_WIDTHS, default=64)
     protect.add_argument("--seed", type=int, default=None, help="seeded rng (default: system entropy)")
     protect.add_argument("--out", default=None, help="register output path (default: stdout)")
     protect.set_defaults(func=cmd_protect)
@@ -170,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a register file against a key file")
     verify.add_argument("register", help="register octets")
     verify.add_argument("--key", required=True, help="key file from protect")
-    verify.add_argument("--width", type=int, choices=(8, 16, 32, 64), default=64)
+    verify.add_argument("--width", type=int, choices=VALID_WIDTHS, default=64)
     verify.add_argument("--out", default=None, help="write recovered plaintext here")
     verify.set_defaults(func=cmd_verify)
 

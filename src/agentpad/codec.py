@@ -9,9 +9,9 @@ Register layout (all integers big-endian):
     masked_mfd  W/8 octets
 
 An area image is a 4-octet register count followed by the registers. A key
-image is a mode octet, a 4-octet bit length, and the key octets. Registers
-deliberately carry no host identifier: authorship is established only by key
-matching at the agent server.
+image is a mode octet, a 4-octet bit length, and the key octets. Neither
+registers nor keys carry a host identifier: authorship is established only by
+key matching at the agent server, which knows which host surrendered each key.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def encode_key(key: OneTimeKey) -> bytes:
     return bytes([key.mode.value]) + struct.pack(">I", key.bit_length()) + key.bits
 
 
-def read_key(raw: bytes, offset: int, owner: bytes = b"") -> tuple[OneTimeKey, int]:
+def read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
     if len(raw) - offset < 5:
         raise TruncatedError("key header incomplete")
     try:
@@ -140,11 +140,11 @@ def read_key(raw: bytes, offset: int, owner: bytes = b"") -> tuple[OneTimeKey, i
     end = offset + 5 + bit_length // 8
     if len(raw) < end:
         raise TruncatedError("key octets incomplete")
-    return OneTimeKey(mode, raw[offset + 5 : end], owner), end
+    return OneTimeKey(mode, raw[offset + 5 : end]), end
 
 
-def decode_key(raw: bytes, owner: bytes = b"") -> OneTimeKey:
-    key, end = read_key(raw, 0, owner)
+def decode_key(raw: bytes) -> OneTimeKey:
+    key, end = read_key(raw, 0)
     if end != len(raw):
         raise TrailingGarbageError(f"{len(raw) - end} octets after key")
     return key

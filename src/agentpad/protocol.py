@@ -177,14 +177,14 @@ def encode_key_response(msg: KeyResponse) -> bytes:
     return b"".join(parts)
 
 
-def decode_key_response(raw: bytes, owner: bytes = b"") -> KeyResponse:
+def decode_key_response(raw: bytes) -> KeyResponse:
     if len(raw) < 4:
         raise TruncatedError("KeyResponse: count incomplete")
     (count,) = struct.unpack_from(">I", raw, 0)
     offset = 4
     keys = []
     for _ in range(count):
-        key, offset = read_key(raw, offset, owner)
+        key, offset = read_key(raw, offset)
         keys.append(key)
     if offset != len(raw):
         raise TrailingGarbageError("KeyResponse: trailing octets")
@@ -205,24 +205,16 @@ MESSAGE_CODECS: dict[type, tuple[str, Callable[[Any], bytes], Callable[[bytes], 
 
 
 @dataclass
-class KeyRecord:
-    agent: bytes
-    key: OneTimeKey
-
-
-@dataclass
 class PeerHostState:
-    """A visited host: its identity, rng, and live keys."""
+    """A visited host: its identity, rng, and the live keys it holds, per agent id.
+
+    The keys of one agent are kept in the order they were drawn; they name no
+    host, since the holder is the only party that needs to know whose they are.
+    """
 
     id: bytes
     rng: Any
-    keystore: list[KeyRecord] = field(default_factory=list)
-
-    def keys_for(self, agent: bytes) -> list[OneTimeKey]:
-        return [rec.key for rec in self.keystore if rec.agent == agent]
-
-    def all_keys(self) -> list[OneTimeKey]:
-        return [rec.key for rec in self.keystore]
+    keystore: dict[bytes, list[OneTimeKey]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -244,64 +236,51 @@ def host_handle_agent(
     intent: VisitIntent,
     mode: ProtectionMode,
     params: CipherParams = DEFAULT_PARAMS,
-) -> tuple[PeerHostState, AgentDataArea]:
-    """Honest handling of one visit.
+) -> AgentDataArea:
+    """Honest handling of one visit; returns the area the host forwards.
 
     Applies the intent: fresh codeword and key for appends and edits (the
     old key is discarded on edit), key deletion together with register
-    removal. Reporting the visit to the route servers is the caller's job.
+    removal. Edits and removals relocate the host's first own register by
+    its keys. Reporting the visit to the route servers is the caller's job.
     """
-    if intent.action == "idle":
-        return host, area
-    if intent.action == "append":
-        if intent.payload is None:
-            raise ValueError("append intent needs a payload")
-        return _host_append(host, area, intent.payload, mode, params)
-    if intent.action == "edit":
-        if intent.payload is None:
-            raise ValueError("edit intent needs a payload")
-        own = find_own_registers(area, host.keys_for(area.agent), params)
-        if not own:
-            return _host_append(host, area, intent.payload, mode, params)
-        reg_index, key_index = min(own)
-        new_cw = host.rng.getrandbits(params.block_width_bits)
-        new_key = gen_key(
-            mode, len(intent.payload), area, host.all_keys(), host.rng, params, host.id
-        )
-        area = replace_own_register(area, reg_index, intent.payload, new_cw, new_key, params)
-        old = host.keys_for(area.agent)[key_index]
-        host.keystore = [rec for rec in host.keystore if rec.key is not old]
-        host.keystore.append(KeyRecord(area.agent, new_key))
-        return host, area
-    if intent.action == "remove":
-        own = find_own_registers(area, host.keys_for(area.agent), params)
-        if not own:
-            return host, area
-        reg_index, key_index = min(own)
-        area = remove_own_register(area, reg_index)
-        old = host.keys_for(area.agent)[key_index]
-        host.keystore = [rec for rec in host.keystore if rec.key is not old]
-        return host, area
-    raise ValueError(f"unknown visit action {intent.action!r}")
-
-
-def _host_append(host, area, payload, mode, params):
+    action, payload = intent.action, intent.payload
+    if action == "idle":
+        return area
+    if action not in ("append", "edit", "remove"):
+        raise ValueError(f"unknown visit action {action!r}")
+    if action != "remove" and payload is None:
+        raise ValueError(f"{action} intent needs a payload")
+    keys = host.keystore.setdefault(area.agent, [])
+    own = find_own_registers(area, keys, params) if action != "append" else []
+    if action == "remove":
+        if own:
+            reg_index, key_index = min(own)
+            area = remove_own_register(area, reg_index)
+            del keys[key_index]
+        return area
+    # seeded reports depend on this draw order (codeword, then key) and on
+    # gen_key seeing every held key, the one an edit replaces included
     cw = host.rng.getrandbits(params.block_width_bits)
-    key = gen_key(mode, len(payload), area, host.all_keys(), host.rng, params, host.id)
-    area = append_register(area, protect_register(payload, cw, key, params))
-    host.keystore.append(KeyRecord(area.agent, key))
-    return host, area
+    held = [key for agent_keys in host.keystore.values() for key in agent_keys]
+    key = gen_key(mode, len(payload), area, held, host.rng, params)
+    if own:
+        reg_index, key_index = min(own)
+        area = replace_own_register(area, reg_index, payload, cw, key, params)
+        del keys[key_index]
+    else:
+        area = append_register(area, protect_register(payload, cw, key, params))
+    keys.append(key)
+    return area
 
 
-def host_send_keys(host: PeerHostState, agent: bytes) -> tuple[PeerHostState, KeyResponse]:
+def host_send_keys(host: PeerHostState, agent: bytes) -> KeyResponse:
     """Surrender every key held for ``agent`` and delete them locally.
 
     Draining is one-shot by construction: a second request finds nothing.
     A host that removed its own register legitimately answers empty.
     """
-    keys = tuple(rec.key for rec in host.keystore if rec.agent == agent)
-    host.keystore = [rec for rec in host.keystore if rec.agent != agent]
-    return host, KeyResponse(keys)
+    return KeyResponse(tuple(host.keystore.pop(agent, ())))
 
 
 # --- route server ------------------------------------------------------------
@@ -314,10 +293,9 @@ class RouteServerState:
     logs: dict[bytes, list[tuple[int, bytes]]] = field(default_factory=dict)
 
 
-def route_log_visit(rs: RouteServerState, agent: bytes, host: bytes) -> RouteServerState:
+def route_log_visit(rs: RouteServerState, agent: bytes, host: bytes) -> None:
     entries = rs.logs.setdefault(agent, [])
     entries.append((len(entries) + 1, host))
-    return rs
 
 
 def route_get(rs: RouteServerState, agent: bytes) -> list[bytes]:
@@ -338,32 +316,19 @@ def merge_route_answers(answers: list[list[bytes]]) -> list[bytes] | None:
 # --- agent server ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DispatchRecord:
-    route: tuple[bytes, ...]
-    route_servers: tuple[bytes, ...]
-
-
 @dataclass
 class AgentServerState:
-    """The dispatching server and the plan of every agent it dispatched."""
+    """The dispatching server: its identity and the rng that mints agent ids."""
 
     id: bytes
     rng: Any
-    dispatched: dict[bytes, DispatchRecord] = field(default_factory=dict)
 
 
-def server_dispatch(
-    server: AgentServerState,
-    route: list[bytes],
-    route_servers: list[bytes],
-) -> tuple[AgentServerState, AgentDataArea]:
-    """Mint a fresh agent with an empty data area and record its plan."""
+def server_dispatch(server: AgentServerState, route: list[bytes]) -> AgentDataArea:
+    """Mint a fresh agent with an empty data area."""
     if not route:
         raise EmptyRouteError("dispatch requires at least one hop")
-    agent = server.rng.randbytes(AGENT_ID_OCTETS)
-    server.dispatched[agent] = DispatchRecord(tuple(route), tuple(route_servers))
-    return server, AgentDataArea(agent)
+    return AgentDataArea(server.rng.randbytes(AGENT_ID_OCTETS))
 
 
 class Verdict(Enum):
@@ -405,45 +370,41 @@ def server_reconcile(
 
     Accept requires a perfect one-to-one matching (each key validates exactly
     one register and vice versa) and that every host attributed through a key
-    appears on the logged route. Hosts on the route with no keys are fine;
-    they contributed nothing or removed their own register. Failures are
-    verdicts, not errors, reported with a fixed reason precedence.
+    appears on the logged route. ``key_responses`` maps each responding host
+    to the keys it surrendered, and a register is attributed to the host whose
+    key matches it. Hosts on the route with no keys are fine; they contributed
+    nothing or removed their own register. Failures are verdicts, not errors,
+    reported with a fixed reason precedence.
     """
     flat: list[tuple[bytes, OneTimeKey]] = [
         (host, key) for host, keys in key_responses.items() for key in keys
     ]
-    n_regs = len(area.registers)
-    key_matches: list[list[int]] = []
-    reg_matches: list[list[int]] = [[] for _ in range(n_regs)]
-    results: dict[tuple[int, int], bytes | None] = {}
+    registers = area.registers
+    matches: list[tuple[int, int, bytes | None]] = []  # (key, register, plaintext)
     for ki, (_, key) in enumerate(flat):
-        hits = []
-        for ri, reg in enumerate(area.registers):
+        for ri, reg in enumerate(registers):
             res = check_register(reg, key, params)
             if res.valid:
-                hits.append(ri)
-                reg_matches[ri].append(ki)
-                results[(ki, ri)] = res.plaintext
-        key_matches.append(hits)
+                matches.append((ki, ri, res.plaintext))
 
-    if any(not hits for hits in key_matches):
+    if len({ki for ki, _, _ in matches}) < len(flat):
         return VerificationReport(Verdict.DISCARD, DiscardReason.ORPHAN_KEY)
-    if any(not kis for kis in reg_matches):
+    if len({ri for _, ri, _ in matches}) < len(registers):
         return VerificationReport(Verdict.DISCARD, DiscardReason.UNMATCHED_REGISTER)
-    if any(len(hits) > 1 for hits in key_matches) or any(
-        len(kis) > 1 for kis in reg_matches
-    ):
+    # every key and every register matched, so any surplus match is a second
+    # match of some key or of some register
+    if len(matches) > len(flat) or len(matches) > len(registers):
         return VerificationReport(Verdict.DISCARD, DiscardReason.DUPLICATE_MATCH)
 
     logged = set(route)
     if any(host not in logged for host, _ in flat):
         return VerificationReport(Verdict.DISCARD, DiscardReason.ROUTE_MISMATCH)
 
-    attribution = []
-    plaintexts = {}
-    for ri, (kis) in enumerate(reg_matches):
-        ki = kis[0]
-        attribution.append((ri, flat[ki][0]))
-        if area.registers[ri].mode is ProtectionMode.ENCRYPTION:
-            plaintexts[ri] = results[(ki, ri)]
-    return VerificationReport(Verdict.ACCEPT, None, tuple(attribution), plaintexts)
+    matches.sort(key=lambda match: match[1])
+    attribution = tuple((ri, flat[ki][0]) for ki, ri, _ in matches)
+    plaintexts = {
+        ri: plain
+        for _, ri, plain in matches
+        if registers[ri].mode is ProtectionMode.ENCRYPTION
+    }
+    return VerificationReport(Verdict.ACCEPT, None, attribution, plaintexts)

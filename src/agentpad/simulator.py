@@ -498,11 +498,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
         trace.append(SimEvent(len(trace) + 1, kind, src, dst, channel.security.value, detail))
         return received
 
-    server, area = server_dispatch(
-        server,
-        [host_id(label) for label in scenario.route],
-        [host_id(label) for label in scenario.route_servers],
-    )
+    area = server_dispatch(server, [host_id(label) for label in scenario.route])
     agent = area.agent
     image = encode_area(area, params)
 
@@ -534,11 +530,10 @@ def run_scenario(scenario: Scenario) -> SimReport:
             label = host_label(hid)
             runtime = hosts[label]
             request = deliver(scenario.agent_server, label, KeyRequest(agent))
-            _, response = host_send_keys(runtime.state, request.agent)
-            keys = response.keys
+            keys = host_send_keys(runtime.state, request.agent).keys
             if runtime.config.behavior.kind == ORPHAN_KEY:
                 bogus_bits = runtime.state.rng.randbytes(params.signature_width_bits // 8)
-                keys += (OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits, runtime.state.id),)
+                keys += (OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits),)
             response = deliver(label, scenario.agent_server, KeyResponse(keys))
             if response is not None:
                 collected[hid] = list(response.keys)
@@ -576,10 +571,10 @@ def _apply_visit(
             violations.append({**note, "host": cfg.id})
 
     intent = _intent_for(cfg, first)
-    state, area = host_handle_agent(state, area, intent, cfg.mode, params)
+    area = host_handle_agent(state, area, intent, cfg.mode, params)
 
     if profile.kind == KEY_REUSE and first:
-        keys = state.keys_for(area.agent)
+        keys = state.keystore.get(area.agent)
         if keys:
             try:
                 protect_register(cfg.payload or b"", 0, keys[-1], params)

@@ -114,3 +114,45 @@ def protect_reference(message: bytes, cw: int, key: bytes, mode: str, width: int
         "masked_cw": cw ^ cw_mask,
         "masked_mfd": mfd ^ mfd_mask,
     }
+
+
+def reconcile_reference(registers, key_responses, route, check) -> tuple:
+    """All-pairs reconciliation, kept as the exactness oracle for the server.
+
+    ``check(register, key)`` returns an object with ``valid`` and
+    ``plaintext``. Returns (verdict, reason, attribution, plaintexts) as
+    plain values: "accept" or "discard", a reason name or None, a tuple of
+    (register index, host) pairs and a dict of encrypted registers' plaintexts.
+    Precedence: orphan key, unmatched register, duplicate match, route mismatch.
+    """
+    flat = [(host, key) for host, keys in key_responses.items() for key in keys]
+    key_matches = []
+    reg_matches = [[] for _ in registers]
+    results = {}
+    for ki, (_, key) in enumerate(flat):
+        hits = []
+        for ri, reg in enumerate(registers):
+            res = check(reg, key)
+            if res.valid:
+                hits.append(ri)
+                reg_matches[ri].append(ki)
+                results[(ki, ri)] = res.plaintext
+        key_matches.append(hits)
+
+    if any(not hits for hits in key_matches):
+        return "discard", "orphan_key", (), {}
+    if any(not kis for kis in reg_matches):
+        return "discard", "unmatched_register", (), {}
+    if any(len(hits) > 1 for hits in key_matches) or any(len(kis) > 1 for kis in reg_matches):
+        return "discard", "duplicate_match", (), {}
+    if any(host not in set(route) for host, _ in flat):
+        return "discard", "route_mismatch", (), {}
+
+    attribution = []
+    plaintexts = {}
+    for ri, kis in enumerate(reg_matches):
+        ki = kis[0]
+        attribution.append((ri, flat[ki][0]))
+        if registers[ri].mode.name == "ENCRYPTION":
+            plaintexts[ri] = results[(ki, ri)]
+    return "accept", None, tuple(attribution), plaintexts

@@ -37,6 +37,13 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "invalid scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_one(self, seed, capsys):
+        assert main(["run", str(SCENARIO_DIR / "honest.json"), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid scenario: seed must fit in 64 bits\n"
+
     def test_seed_override_and_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["run", str(SCENARIO_DIR / "honest.json"), "--seed", "99", "--report", str(out)]) == 0

@@ -8,6 +8,7 @@ from agentpad.cipher import (
     CipherParams,
     OneTimeKey,
     ProtectionMode,
+    check_register,
     protect_register,
     required_key_octets,
 )
@@ -48,6 +49,7 @@ from agentpad.protocol import (
     server_dispatch,
     server_reconcile,
 )
+from oracles import reconcile_reference
 
 P64 = CipherParams(64)
 AGENT = bytes(range(16))
@@ -58,8 +60,8 @@ def fresh_host(label, seed):
     return PeerHostState(host_id(label), random.Random(seed))
 
 
-def make_key(rng, mode, octets, params=P64, owner=b""):
-    return OneTimeKey(mode, rng.randbytes(required_key_octets(mode, octets, params)), owner)
+def make_key(rng, mode, octets, params=P64):
+    return OneTimeKey(mode, rng.randbytes(required_key_octets(mode, octets, params)))
 
 
 def protect_for(rng, message, mode=ProtectionMode.SIGNATURE):
@@ -104,10 +106,9 @@ class TestMessageWire:
             make_key(rng, ProtectionMode.SIGNATURE, 0),
             make_key(rng, ProtectionMode.ENCRYPTION, 21),
         )
-        decoded = decode_key_response(encode_key_response(KeyResponse(keys)), owner=ALPHA)
+        decoded = decode_key_response(encode_key_response(KeyResponse(keys)))
         assert [k.bits for k in decoded.keys] == [k.bits for k in keys]
         assert [k.mode for k in decoded.keys] == [k.mode for k in keys]
-        assert all(k.owner == ALPHA for k in decoded.keys)
         assert decode_key_response(encode_key_response(KeyResponse(()))).keys == ()
 
 
@@ -176,67 +177,64 @@ class TestDispatch:
     def test_empty_route_rejected(self):
         server = AgentServerState(host_id("server"), random.Random(2))
         with pytest.raises(EmptyRouteError):
-            server_dispatch(server, [], [host_id("rs1")])
+            server_dispatch(server, [])
 
     def test_fresh_agent_ids(self):
         server = AgentServerState(host_id("server"), random.Random(3))
-        _, area1 = server_dispatch(server, [ALPHA], [host_id("rs1")])
-        _, area2 = server_dispatch(server, [ALPHA], [host_id("rs1")])
+        area1 = server_dispatch(server, [ALPHA])
+        area2 = server_dispatch(server, [ALPHA])
         assert area1.agent != area2.agent
         assert area1.registers == ()
-        assert server.dispatched[area1.agent].route == (ALPHA,)
 
 
 class TestHostVisits:
     def test_fresh_append(self):
         host = fresh_host("alpha", 4)
         area = AgentDataArea(AGENT)
-        host, area = host_handle_agent(
+        area = host_handle_agent(
             host, area, VisitIntent("append", b"hello"), ProtectionMode.SIGNATURE, P64
         )
         assert len(area.registers) == 1
-        assert len(host.keystore) == 1
+        assert len(host.keystore[AGENT]) == 1
 
     def test_revisit_edit_swaps_key(self):
         host = fresh_host("alpha", 5)
         area = AgentDataArea(AGENT)
-        host, area = host_handle_agent(
+        area = host_handle_agent(
             host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, P64
         )
-        old_key = OneTimeKey(ProtectionMode.SIGNATURE, host.keystore[0].key.bits)
-        host, area = host_handle_agent(
+        old_key = OneTimeKey(ProtectionMode.SIGNATURE, host.keystore[AGENT][0].bits)
+        area = host_handle_agent(
             host, area, VisitIntent("edit", b"v2"), ProtectionMode.SIGNATURE, P64
         )
         assert len(area.registers) == 1
-        assert len(host.keystore) == 1
-        assert host.keystore[0].key.bits != old_key.bits
-        from agentpad.cipher import check_register
-
+        assert len(host.keystore[AGENT]) == 1
+        assert host.keystore[AGENT][0].bits != old_key.bits
         assert not check_register(area.registers[0], old_key, P64).valid
-        assert check_register(area.registers[0], host.keystore[0].key, P64).valid
+        assert check_register(area.registers[0], host.keystore[AGENT][0], P64).valid
         assert area.registers[0].data_field[:2] == b"v2"
 
     def test_revisit_remove_clears_key(self):
         host = fresh_host("alpha", 6)
         area = AgentDataArea(AGENT)
-        host, area = host_handle_agent(
+        area = host_handle_agent(
             host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, P64
         )
-        host, area = host_handle_agent(
+        area = host_handle_agent(
             host, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64
         )
         assert area.registers == ()
-        assert host.keystore == []
+        assert host.keystore == {AGENT: []}
 
     def test_idle_logs_but_contributes_nothing(self):
         # the simulator logs every visit, idle ones included (see
         # test_simulator's TestRouteLogging)
         host = fresh_host("alpha", 7)
-        host, area = host_handle_agent(
+        area = host_handle_agent(
             host, AgentDataArea(AGENT), VisitIntent("idle"), ProtectionMode.SIGNATURE, P64
         )
         assert area.registers == ()
-        assert host.keystore == []
+        assert host.keystore == {}
 
     def test_gen_key_checked_against_current_area(self):
         # a key that would validate a foreign register must be redrawn; rig the
@@ -262,37 +260,37 @@ class TestHostVisits:
 
         host = PeerHostState(ALPHA, FirstCollides(foreign_key.bits))
         area = append_register(AgentDataArea(AGENT), reg)
-        host, area = host_handle_agent(
+        area = host_handle_agent(
             host, area, VisitIntent("append", b"mine-ok"), ProtectionMode.SIGNATURE, P64
         )
-        assert host.keystore[0].key.bits != foreign_key.bits
+        assert host.keystore[AGENT][0].bits != foreign_key.bits
 
 
 class TestSendKeys:
     def test_drain_once(self):
         host = fresh_host("alpha", 10)
-        host, _ = host_handle_agent(
+        host_handle_agent(
             host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, P64
         )
-        host, response = host_send_keys(host, AGENT)
+        response = host_send_keys(host, AGENT)
         assert len(response.keys) == 1
-        assert host.keystore == []
-        host, second = host_send_keys(host, AGENT)
+        assert host.keystore == {}
+        second = host_send_keys(host, AGENT)
         assert second.keys == ()
 
     def test_other_agents_keys_survive(self):
         host = fresh_host("alpha", 11)
         other = bytes(16)
-        host, _ = host_handle_agent(
+        host_handle_agent(
             host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, P64
         )
-        host, _ = host_handle_agent(
+        host_handle_agent(
             host, AgentDataArea(other), VisitIntent("append", b"y"), ProtectionMode.SIGNATURE, P64
         )
-        host, response = host_send_keys(host, AGENT)
+        response = host_send_keys(host, AGENT)
         assert len(response.keys) == 1
-        assert len(host.keystore) == 1
-        assert host.keystore[0].agent == other
+        assert list(host.keystore) == [other]
+        assert len(host.keystore[other]) == 1
 
 
 def honest_area(rng, owners_payloads):
@@ -300,9 +298,9 @@ def honest_area(rng, owners_payloads):
     area = AgentDataArea(AGENT)
     responses = {}
     for hid, payload, mode in owners_payloads:
-        key = make_key(rng, mode, len(payload), owner=hid)
+        key = make_key(rng, mode, len(payload))
         area = append_register(area, protect_register(payload, rng.getrandbits(64), key, P64))
-        responses.setdefault(hid, []).append(OneTimeKey(mode, key.bits, hid))
+        responses.setdefault(hid, []).append(OneTimeKey(mode, key.bits))
     return area, responses
 
 
@@ -359,8 +357,24 @@ class TestReconcile:
             key = OneTimeKey(ProtectionMode.SIGNATURE, bits)
             area = append_register(area, protect_register(b"twice", cw, key, P64))
         responses = {
-            ALPHA: [OneTimeKey(ProtectionMode.SIGNATURE, bits, ALPHA)],
-            BETA: [OneTimeKey(ProtectionMode.SIGNATURE, bits, BETA)],
+            ALPHA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
+            BETA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
+        }
+        report = server_reconcile(self.server, AGENT, area, responses, [ALPHA, BETA], P64)
+        assert report.verdict is Verdict.DISCARD
+        assert report.reason is DiscardReason.DUPLICATE_MATCH
+
+    def test_duplicate_match_two_keys_one_register(self):
+        # two hosts surrender the same bits for one register: only the
+        # register side shows the duplicate, since each key matches once
+        bits = self.rng.randbytes(16)
+        reg = protect_register(
+            b"once", self.rng.getrandbits(64), OneTimeKey(ProtectionMode.SIGNATURE, bits), P64
+        )
+        area = append_register(AgentDataArea(AGENT), reg)
+        responses = {
+            ALPHA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
+            BETA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
         }
         report = server_reconcile(self.server, AGENT, area, responses, [ALPHA, BETA], P64)
         assert report.verdict is Verdict.DISCARD
@@ -385,12 +399,68 @@ class TestReconcile:
         # beta contributed, then removed its register and deleted the key
         beta = fresh_host("beta", 14)
         area, responses = honest_area(self.rng, [(ALPHA, b"kept", ProtectionMode.SIGNATURE)])
-        beta, area = host_handle_agent(
+        area = host_handle_agent(
             beta, area, VisitIntent("append", b"gone"), ProtectionMode.SIGNATURE, P64
         )
-        beta, area = host_handle_agent(beta, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64)
-        beta, response = host_send_keys(beta, AGENT)
+        area = host_handle_agent(beta, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64)
+        response = host_send_keys(beta, AGENT)
         responses[BETA] = list(response.keys)
         report = server_reconcile(self.server, AGENT, area, responses, [ALPHA, BETA, BETA], P64)
         assert report.verdict is Verdict.ACCEPT
         assert report.attribution == ((0, ALPHA),)
+
+
+class TestReconcileMatchesReference:
+    """server_reconcile against the all-pairs loop in tests/oracles.py."""
+
+    HOSTS = tuple(host_id(f"h{i}") for i in range(4))
+
+    def random_case(self, rng):
+        """Up to five registers with dropped, doubled and extra keys, repeated
+        registers and partial routes, at a width where stray matches occur."""
+        params = CipherParams(rng.choice((8, 16)))
+        registers, responses = [], {}
+        for _ in range(rng.randrange(6)):
+            if registers and rng.random() < 0.1:
+                registers.append(rng.choice(registers))
+                continue
+            mode = rng.choice((ProtectionMode.SIGNATURE, ProtectionMode.ENCRYPTION))
+            payload = rng.randbytes(rng.randrange(5))
+            bits = rng.randbytes(required_key_octets(mode, len(payload), params))
+            cw = rng.getrandbits(params.block_width_bits)
+            registers.append(protect_register(payload, cw, OneTimeKey(mode, bits), params))
+            if rng.random() < 0.1:
+                continue  # the key is dropped
+            for hid in rng.sample(self.HOSTS, 2 if rng.random() < 0.1 else 1):
+                responses.setdefault(hid, []).append(OneTimeKey(mode, bits))
+        while rng.random() < 0.15:
+            bits = rng.randbytes(params.signature_width_bits // 8)
+            responses.setdefault(rng.choice(self.HOSTS), []).append(
+                OneTimeKey(ProtectionMode.SIGNATURE, bits)
+            )
+        route = [hid for hid in self.HOSTS if hid in responses or rng.random() < 0.3]
+        if responses and rng.random() < 0.1:
+            route.remove(rng.choice(list(responses)))
+        return params, AgentDataArea(AGENT, tuple(registers)), responses, route
+
+    def test_seeded_cases_match_reference(self):
+        server = AgentServerState(host_id("server"), random.Random(0))
+        outcomes = {}
+        for seed in range(3000):
+            params, area, responses, route = self.random_case(random.Random(seed))
+            report = server_reconcile(server, AGENT, area, responses, route, params)
+            got = (
+                report.verdict.value,
+                report.reason.value if report.reason else None,
+                report.attribution,
+                report.plaintexts,
+            )
+            expected = reconcile_reference(
+                area.registers, responses, route, lambda reg, key: check_register(reg, key, params)
+            )
+            assert got == expected, f"seed {seed}"
+            outcome = got[1] or got[0]
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert set(outcomes) == {
+            "accept", "orphan_key", "unmatched_register", "duplicate_match", "route_mismatch"
+        }, outcomes
