@@ -2,7 +2,7 @@
 
 The package splits into the cipher core (rotation digest, protect/check, key
 generation), the data-area codec (wire-exact serialization and own-register
-edits), the protocol roles (peer host, agent server, route server), a
+lookup), the protocol roles (peer host, agent server, route server), a
 deterministic scenario simulator with an adversary suite, and a CLI.
 """
 
@@ -27,14 +27,11 @@ from .cipher import (
 )
 from .codec import (
     AgentDataArea,
-    append_register,
     decode_area,
     decode_register,
     encode_area,
     encode_register,
     find_own_registers,
-    remove_own_register,
-    replace_own_register,
 )
 from .protocol import (
     AgentServerState,

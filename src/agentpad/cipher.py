@@ -442,22 +442,20 @@ def check_register(
 def gen_key(
     mode: ProtectionMode,
     message_octets: int,
-    data_area,
+    registers: list[Register],
     host_keystore: Iterable[OneTimeKey],
     rng,
     params: CipherParams = DEFAULT_PARAMS,
 ) -> OneTimeKey:
     """Draw a one-time key that is provably new for this data area.
 
-    A candidate is rejected if it validates any register already carried by
-    the agent (a length-compatible accidental match would blur authorship) or
-    if it repeats any key in the host's keystore. ``data_area`` may be an
-    AgentDataArea or any iterable of registers.
+    A candidate is rejected if it validates any of ``registers``, the ones
+    the agent already carries (a length-compatible accidental match would
+    blur authorship), or if it repeats any key in the host's keystore.
 
     Raises ExhaustedAttemptsError after MAX_KEY_ATTEMPTS rejected draws,
     which indicates a broken rng or a pathological data area, not bad luck.
     """
-    registers = getattr(data_area, "registers", data_area)
     nbytes = required_key_octets(mode, message_octets, params)
     used = {k.bits for k in host_keystore}
     for _ in range(MAX_KEY_ATTEMPTS):

@@ -1,4 +1,4 @@
-"""Agent data area model and bit-exact wire encoding.
+"""Agent data area model, bit-exact wire encoding and own-register lookup.
 
 Register layout (all integers big-endian):
 
@@ -17,7 +17,7 @@ key matching at the agent server, which knows which host surrendered each key.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cipher import (
     CipherParams,
@@ -27,7 +27,6 @@ from .cipher import (
     Register,
     check_register,
     padded_octets,
-    protect_register,
 )
 
 
@@ -150,11 +149,6 @@ def decode_key(raw: bytes) -> OneTimeKey:
     return key
 
 
-def append_register(area: AgentDataArea, reg: Register) -> AgentDataArea:
-    """New area with ``reg`` at the tail; existing registers untouched."""
-    return replace(area, registers=area.registers + (reg,))
-
-
 def find_own_registers(
     area: AgentDataArea,
     keys: list[OneTimeKey],
@@ -171,37 +165,3 @@ def find_own_registers(
             if check_register(reg, key, params).valid:
                 pairs.append((ri, ki))
     return pairs
-
-
-def replace_own_register(
-    area: AgentDataArea,
-    index: int,
-    new_message: bytes,
-    new_cw: int,
-    new_key: OneTimeKey,
-    params: CipherParams = DEFAULT_PARAMS,
-) -> AgentDataArea:
-    """Re-protect one slot in place with a fresh codeword and key.
-
-    The caller must discard the old key; keeping both would expose the old
-    and new protections to joint brute force.
-    """
-    if not 0 <= index < len(area.registers):
-        raise IndexError(f"register index {index} out of range")
-    registers = list(area.registers)
-    registers[index] = protect_register(new_message, new_cw, new_key, params)
-    return replace(area, registers=tuple(registers))
-
-
-def remove_own_register(area: AgentDataArea, index: int) -> AgentDataArea:
-    """Drop one register, preserving the order of the rest.
-
-    The caller must delete the matching key from its keystore at the same
-    time, or the key would later surface as evidence of tampering.
-    """
-    if not 0 <= index < len(area.registers):
-        raise IndexError(f"register index {index} out of range")
-    registers = list(area.registers)
-    del registers[index]
-    return replace(area, registers=tuple(registers))
-

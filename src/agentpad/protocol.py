@@ -25,7 +25,7 @@ decoder; the simulator's bus sends every message through it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -42,12 +42,9 @@ from .codec import (
     AgentDataArea,
     TrailingGarbageError,
     TruncatedError,
-    append_register,
     find_own_registers,
     read_key,
     encode_key,
-    remove_own_register,
-    replace_own_register,
 )
 
 HOST_ID_OCTETS = 8
@@ -217,61 +214,56 @@ class PeerHostState:
     keystore: dict[bytes, list[OneTimeKey]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class VisitIntent:
-    """What a host wants to do while holding the agent.
-
-    action: "append" | "edit" | "remove" | "idle". ``payload`` is the message
-    for append/edit; edits fall back to an append when the host's register
-    is no longer present.
-    """
-
-    action: str
-    payload: bytes | None = None
-
-
 def host_handle_agent(
     host: PeerHostState,
     area: AgentDataArea,
-    intent: VisitIntent,
+    action: str,
+    payload: bytes | None,
     mode: ProtectionMode,
     params: CipherParams = DEFAULT_PARAMS,
 ) -> AgentDataArea:
     """Honest handling of one visit; returns the area the host forwards.
 
-    Applies the intent: fresh codeword and key for appends and edits (the
-    old key is discarded on edit), key deletion together with register
-    removal. Edits and removals relocate the host's first own register by
-    its keys. Reporting the visit to the route servers is the caller's job.
+    ``action`` is "append", "edit", "remove" or "idle", and ``payload`` is
+    the message for an append or an edit. An append protects the payload in
+    a new register at the tail. An edit re-protects the host's first own
+    register in place with a fresh codeword and key, and deletes the old key,
+    since keeping both would expose the two protections to joint brute force;
+    when that register is no longer present the edit appends instead. A
+    removal drops the host's first own register together with its key, which
+    would otherwise surface as evidence of tampering. The host finds its own
+    registers by its keys, and every other register stays as it was.
+    Reporting the visit to the route servers is the caller's job.
     """
-    action, payload = intent.action, intent.payload
     if action == "idle":
         return area
     if action not in ("append", "edit", "remove"):
         raise ValueError(f"unknown visit action {action!r}")
     if action != "remove" and payload is None:
-        raise ValueError(f"{action} intent needs a payload")
+        raise ValueError(f"{action} needs a payload")
     keys = host.keystore.setdefault(area.agent, [])
-    own = find_own_registers(area, keys, params) if action != "append" else []
+    registers = list(area.registers)
+    own = [] if action == "append" else find_own_registers(area, keys, params)
+    if own:
+        reg_index, key_index = min(own)
     if action == "remove":
         if own:
-            reg_index, key_index = min(own)
-            area = remove_own_register(area, reg_index)
+            del registers[reg_index]
             del keys[key_index]
-        return area
+        return replace(area, registers=tuple(registers))
     # seeded reports depend on this draw order (codeword, then key) and on
     # gen_key seeing every held key, the one an edit replaces included
     cw = host.rng.getrandbits(params.block_width_bits)
     held = [key for agent_keys in host.keystore.values() for key in agent_keys]
-    key = gen_key(mode, len(payload), area, held, host.rng, params)
+    key = gen_key(mode, len(payload), registers, held, host.rng, params)
+    reg = protect_register(payload, cw, key, params)
     if own:
-        reg_index, key_index = min(own)
-        area = replace_own_register(area, reg_index, payload, cw, key, params)
+        registers[reg_index] = reg
         del keys[key_index]
     else:
-        area = append_register(area, protect_register(payload, cw, key, params))
+        registers.append(reg)
     keys.append(key)
-    return area
+    return replace(area, registers=tuple(registers))
 
 
 def host_send_keys(host: PeerHostState, agent: bytes) -> KeyResponse:
@@ -288,18 +280,17 @@ def host_send_keys(host: PeerHostState, agent: bytes) -> KeyResponse:
 
 @dataclass
 class RouteServerState:
-    """Append-only visit log, per agent, with strictly increasing sequence numbers."""
+    """Append-only visit log: per agent, the visiting hosts in arrival order."""
 
-    logs: dict[bytes, list[tuple[int, bytes]]] = field(default_factory=dict)
+    logs: dict[bytes, list[bytes]] = field(default_factory=dict)
 
 
 def route_log_visit(rs: RouteServerState, agent: bytes, host: bytes) -> None:
-    entries = rs.logs.setdefault(agent, [])
-    entries.append((len(entries) + 1, host))
+    rs.logs.setdefault(agent, []).append(host)
 
 
 def route_get(rs: RouteServerState, agent: bytes) -> list[bytes]:
-    return [host for _, host in rs.logs.get(agent, [])]
+    return list(rs.logs.get(agent, []))
 
 
 def merge_route_answers(answers: list[list[bytes]]) -> list[bytes] | None:

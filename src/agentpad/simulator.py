@@ -59,7 +59,6 @@ from .protocol import (
     Verdict,
     DiscardReason,
     VerificationReport,
-    VisitIntent,
     host_handle_agent,
     host_id,
     host_label,
@@ -281,42 +280,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     return scenario
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "params": {"block_width_bits": scenario.params.block_width_bits},
-        "seed": scenario.seed,
-        "agent_server": scenario.agent_server,
-        "route_servers": list(scenario.route_servers),
-        "hosts": [
-            {
-                "id": cfg.id,
-                "behavior": {
-                    k: v
-                    for k, v in {
-                        "profile": cfg.behavior.kind,
-                        "target_index": cfg.behavior.target_index,
-                        "forged_payload": cfg.behavior.forged_payload.hex()
-                        if cfg.behavior.forged_payload is not None
-                        else None,
-                    }.items()
-                    if v is not None
-                },
-                "payload": cfg.payload.hex() if cfg.payload is not None else None,
-                "mode": "sign" if cfg.mode is ProtectionMode.SIGNATURE else "encrypt",
-                "revisit": cfg.revisit,
-            }
-            for cfg in scenario.hosts
-        ],
-        "route": list(scenario.route),
-        "channels": [
-            {"endpoints": list(ch.endpoints), "security": ch.security.value}
-            for ch in scenario.channels
-        ],
-        "default_channel_security": scenario.default_channel_security.value,
-        "policy_mode": scenario.policy_mode,
-    }
-
-
 def load_scenario(path: str | Path) -> Scenario:
     try:
         raw = json.loads(Path(path).read_text())
@@ -398,19 +361,16 @@ def apply_adversary(
     profile: BehaviorProfile,
     area: AgentDataArea,
     params: CipherParams,
-    snapshot: bytes | None = None,
 ) -> tuple[AgentDataArea, dict | None]:
     """Area transformation for the tampering profiles.
 
     Counterfeit rewrites a foreign register's clear fields but cannot touch
-    the masked signature; erase_foreign deletes the register outright;
-    brainwash_replay swaps in the snapshot image when one is supplied. The
-    orphan_key and key_reuse profiles act elsewhere (at key-response time and
-    at protection time) and leave the area alone. Returns the new area and,
-    when the configured target does not exist, a note record.
+    the masked signature; erase_foreign deletes the register outright. The
+    other profiles act elsewhere (brainwash_replay at its revisit,
+    orphan_key at key-response time, key_reuse at protection time) and leave
+    the area alone. Returns the new area and, when the configured target
+    does not exist, a note record.
     """
-    if profile.kind == BRAINWASH_REPLAY and snapshot is not None:
-        return decode_area(snapshot, area.agent, params), None
     if profile.kind not in (COUNTERFEIT, ERASE_FOREIGN):
         return area, None
     idx = profile.target_index
@@ -436,20 +396,21 @@ class _HostRuntime:
     config: HostConfig
     state: PeerHostState
     visits: int = 0
-    snapshot: bytes | None = None
+    snapshot: AgentDataArea | None = None  # what a brainwash host first forwarded
 
 
-def _intent_for(cfg: HostConfig, first: bool) -> VisitIntent:
+def _intent_for(cfg: HostConfig, first: bool) -> tuple[str, bytes | None]:
+    """The (action, payload) of a host's visit."""
     if first:
         if cfg.payload is None:
-            return VisitIntent("idle")
-        return VisitIntent("append", cfg.payload)
+            return "idle", None
+        return "append", cfg.payload
     if cfg.revisit == "idle" or cfg.payload is None:
-        return VisitIntent("idle")
+        return "idle", None
     if cfg.revisit == "remove":
-        return VisitIntent("remove")
+        return "remove", None
     # fresh content for edit/append revisits, distinct per visit
-    return VisitIntent(cfg.revisit, cfg.payload + b"/v2")
+    return cfg.revisit, cfg.payload + b"/v2"
 
 
 def run_scenario(scenario: Scenario) -> SimReport:
@@ -562,16 +523,15 @@ def _apply_visit(
 
     if profile.kind == BRAINWASH_REPLAY and not first:
         # looks like any other visit to the route servers, then swaps the area
-        restored, _ = apply_adversary(profile, area, params, runtime.snapshot)
-        return restored
+        return runtime.snapshot
 
     if first and profile.kind in (COUNTERFEIT, ERASE_FOREIGN):
         area, note = apply_adversary(profile, area, params)
         if note:
             violations.append({**note, "host": cfg.id})
 
-    intent = _intent_for(cfg, first)
-    area = host_handle_agent(state, area, intent, cfg.mode, params)
+    action, payload = _intent_for(cfg, first)
+    area = host_handle_agent(state, area, action, payload, cfg.mode, params)
 
     if profile.kind == KEY_REUSE and first:
         keys = state.keystore.get(area.agent)
@@ -590,7 +550,7 @@ def _apply_visit(
                 violations.append({"kind": "key_reuse_not_blocked", "host": cfg.id})
 
     if profile.kind == BRAINWASH_REPLAY and first:
-        runtime.snapshot = encode_area(area, params)
+        runtime.snapshot = area
     return area
 
 

@@ -12,7 +12,6 @@ from agentpad.cipher import (
     OneTimeKey,
     ProtectionMode,
     Register,
-    check_register,
     padded_octets,
     protect_register,
     required_key_octets,
@@ -22,7 +21,6 @@ from agentpad.codec import (
     TrailingGarbageError,
     TruncatedError,
     UnknownModeError,
-    append_register,
     decode_area,
     decode_key,
     decode_register,
@@ -30,9 +28,8 @@ from agentpad.codec import (
     encode_key,
     encode_register,
     find_own_registers,
-    remove_own_register,
-    replace_own_register,
 )
+from agentpad.protocol import PeerHostState, host_handle_agent, host_id
 import independent_decoder
 
 P8 = CipherParams(8)
@@ -209,19 +206,24 @@ class TestDecodeRobustness:
 
 class TestAreaEdits:
     def test_append_to_empty(self):
-        reg = random_register(random.Random(6), P64)
-        area = append_register(AgentDataArea(AGENT), reg)
-        assert area.registers == (reg,)
+        host = PeerHostState(host_id("alpha"), random.Random(6))
+        area = host_handle_agent(
+            host, AgentDataArea(AGENT), "append", b"entry", ProtectionMode.SIGNATURE, P64
+        )
+        assert len(area.registers) == 1
+        assert find_own_registers(area, host.keystore[AGENT], P64) == [(0, 0)]
 
     def test_append_preserves_prior_octets(self):
         rng = random.Random(7)
         area = AgentDataArea(AGENT)
-        regs = [random_register(rng, P64) for _ in range(3)]
-        for reg in regs:
-            before = encode_area(area, P64)
-            area = append_register(area, reg)
+        for i in range(3):
+            host = PeerHostState(host_id(f"host{i}"), random.Random(i))
+            before, prior = encode_area(area, P64), area.registers
+            mode = rng.choice(list(ProtectionMode))
+            area = host_handle_agent(host, area, "append", rng.randbytes(rng.randrange(25)), mode, P64)
             assert encode_area(area, P64)[4 : 4 + len(before) - 4] == before[4:]
-        assert list(area.registers) == regs
+            assert area.registers[:-1] == prior
+        assert len(area.registers) == 3
 
     def test_find_own_registers_by_construction(self):
         rng = random.Random(8)
@@ -243,41 +245,3 @@ class TestAreaEdits:
         )
         mine = OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(16))
         assert find_own_registers(area, [mine], P64) == []
-
-    def test_replace_swaps_exactly_one_register(self):
-        rng = random.Random(10)
-        regs, keys = zip(*(protected_register(rng, P64, bytes([i]) * 4) for i in range(3)))
-        area = AgentDataArea(AGENT, regs)
-        new_key = OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(16))
-        new_area = replace_own_register(area, 1, b"fresh", rng.getrandbits(64), new_key, P64)
-        assert check_register(new_area.registers[1], new_key, P64).valid
-        assert not check_register(new_area.registers[1], keys[1], P64).valid
-        for i in (0, 2):
-            assert encode_register(new_area.registers[i], P64) == encode_register(regs[i], P64)
-
-    def test_replaced_register_rejects_old_key_repeatedly(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            reg, old_key = protected_register(rng, P64, rng.randbytes(6))
-            area = AgentDataArea(AGENT, (reg,))
-            new_key = OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(16))
-            area = replace_own_register(area, 0, rng.randbytes(6), rng.getrandbits(64), new_key, P64)
-            assert not check_register(area.registers[0], old_key, P64).valid
-
-    def test_remove(self):
-        rng = random.Random(12)
-        regs = tuple(random_register(rng, P64) for _ in range(3))
-        area = AgentDataArea(AGENT, regs)
-        assert remove_own_register(AgentDataArea(AGENT, regs[:1]), 0).registers == ()
-        trimmed = remove_own_register(area, 1)
-        assert trimmed.registers == (regs[0], regs[2])
-
-    def test_index_errors(self):
-        area = AgentDataArea(AGENT, (random_register(random.Random(13), P64),))
-        key = OneTimeKey(ProtectionMode.SIGNATURE, bytes(16))
-        with pytest.raises(IndexError):
-            remove_own_register(area, 1)
-        with pytest.raises(IndexError):
-            remove_own_register(area, -1)
-        with pytest.raises(IndexError):
-            replace_own_register(area, 5, b"", 0, key, P64)

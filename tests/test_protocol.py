@@ -12,7 +12,7 @@ from agentpad.cipher import (
     protect_register,
     required_key_octets,
 )
-from agentpad.codec import AgentDataArea, append_register
+from agentpad.codec import AgentDataArea, encode_register
 from agentpad.protocol import (
     AgentServerState,
     AgentTransfer,
@@ -26,7 +26,6 @@ from agentpad.protocol import (
     RouteQuery,
     RouteServerState,
     Verdict,
-    VisitIntent,
     decode_agent_transfer,
     decode_key_request,
     decode_key_response,
@@ -52,6 +51,7 @@ from agentpad.protocol import (
 from oracles import reconcile_reference
 
 P64 = CipherParams(64)
+SIG = ProtectionMode.SIGNATURE
 AGENT = bytes(range(16))
 ALPHA, BETA, GAMMA = host_id("alpha"), host_id("beta"), host_id("gamma")
 
@@ -144,9 +144,10 @@ class TestRouteServer:
     def test_sequence_numbers(self):
         rs = RouteServerState()
         route_log_visit(rs, AGENT, ALPHA)
-        assert rs.logs[AGENT] == [(1, ALPHA)]
+        assert route_get(rs, AGENT) == [ALPHA]
+        route_log_visit(rs, AGENT, BETA)
         route_log_visit(rs, AGENT, ALPHA)
-        assert rs.logs[AGENT] == [(1, ALPHA), (2, ALPHA)]
+        assert route_get(rs, AGENT) == [ALPHA, BETA, ALPHA]
 
     def test_interleaved_agents_independent(self):
         rs = RouteServerState()
@@ -191,22 +192,16 @@ class TestHostVisits:
     def test_fresh_append(self):
         host = fresh_host("alpha", 4)
         area = AgentDataArea(AGENT)
-        area = host_handle_agent(
-            host, area, VisitIntent("append", b"hello"), ProtectionMode.SIGNATURE, P64
-        )
+        area = host_handle_agent(host, area, "append", b"hello", ProtectionMode.SIGNATURE, P64)
         assert len(area.registers) == 1
         assert len(host.keystore[AGENT]) == 1
 
     def test_revisit_edit_swaps_key(self):
         host = fresh_host("alpha", 5)
         area = AgentDataArea(AGENT)
-        area = host_handle_agent(
-            host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, P64
-        )
+        area = host_handle_agent(host, area, "append", b"v1", ProtectionMode.SIGNATURE, P64)
         old_key = OneTimeKey(ProtectionMode.SIGNATURE, host.keystore[AGENT][0].bits)
-        area = host_handle_agent(
-            host, area, VisitIntent("edit", b"v2"), ProtectionMode.SIGNATURE, P64
-        )
+        area = host_handle_agent(host, area, "edit", b"v2", ProtectionMode.SIGNATURE, P64)
         assert len(area.registers) == 1
         assert len(host.keystore[AGENT]) == 1
         assert host.keystore[AGENT][0].bits != old_key.bits
@@ -217,12 +212,8 @@ class TestHostVisits:
     def test_revisit_remove_clears_key(self):
         host = fresh_host("alpha", 6)
         area = AgentDataArea(AGENT)
-        area = host_handle_agent(
-            host, area, VisitIntent("append", b"v1"), ProtectionMode.SIGNATURE, P64
-        )
-        area = host_handle_agent(
-            host, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64
-        )
+        area = host_handle_agent(host, area, "append", b"v1", ProtectionMode.SIGNATURE, P64)
+        area = host_handle_agent(host, area, "remove", None, ProtectionMode.SIGNATURE, P64)
         assert area.registers == ()
         assert host.keystore == {AGENT: []}
 
@@ -231,9 +222,63 @@ class TestHostVisits:
         # test_simulator's TestRouteLogging)
         host = fresh_host("alpha", 7)
         area = host_handle_agent(
-            host, AgentDataArea(AGENT), VisitIntent("idle"), ProtectionMode.SIGNATURE, P64
+            host, AgentDataArea(AGENT), "idle", None, ProtectionMode.SIGNATURE, P64
         )
         assert area.registers == ()
+        assert host.keystore == {}
+
+    def test_edit_replaces_only_own_register(self):
+        # foreign registers on both sides of the host's own one
+        rng = random.Random(15)
+        host = fresh_host("alpha", 16)
+        left = tuple(protect_for(rng, bytes([i]) * 4)[0] for i in range(2))
+        right = tuple(protect_for(rng, bytes([i]) * 5, ProtectionMode.ENCRYPTION)[0] for i in range(2))
+        area = host_handle_agent(host, AgentDataArea(AGENT, left), "append", b"v0", SIG, P64)
+        area = AgentDataArea(AGENT, area.registers + right)
+        foreign = [encode_register(reg, P64) for reg in left + right]
+        old_key = OneTimeKey(SIG, host.keystore[AGENT][0].bits)
+        area = host_handle_agent(host, area, "edit", b"fresh", SIG, P64)
+        others = area.registers[:2] + area.registers[3:]
+        assert [encode_register(reg, P64) for reg in others] == foreign
+        (new_key,) = host.keystore[AGENT]
+        assert check_register(area.registers[2], new_key, P64).valid
+        assert area.registers[2].data_field[:5] == b"fresh"
+        assert not check_register(area.registers[2], old_key, P64).valid
+
+    def test_repeated_edits_each_reject_the_previous_key(self):
+        rng = random.Random(17)
+        host = fresh_host("alpha", 18)
+        foreign, _ = protect_for(rng, b"foreign")
+        area = host_handle_agent(host, AgentDataArea(AGENT, (foreign,)), "append", b"v0", SIG, P64)
+        for _ in range(1000):
+            old_key = OneTimeKey(SIG, host.keystore[AGENT][0].bits)
+            area = host_handle_agent(host, area, "edit", rng.randbytes(6), SIG, P64)
+            assert area.registers[0] == foreign
+            assert not check_register(area.registers[1], old_key, P64).valid
+            assert check_register(area.registers[1], host.keystore[AGENT][0], P64).valid
+
+    def test_remove_keeps_the_rest_in_order(self):
+        rng = random.Random(19)
+        host = fresh_host("alpha", 20)
+        left = tuple(protect_for(rng, bytes([i]) * 3)[0] for i in range(2))
+        right = tuple(protect_for(rng, bytes([i]) * 7)[0] for i in range(3))
+        area = host_handle_agent(host, AgentDataArea(AGENT, left), "append", b"mine", SIG, P64)
+        area = AgentDataArea(AGENT, area.registers + right)
+        area = host_handle_agent(host, area, "remove", None, SIG, P64)
+        assert area.registers == left + right
+        assert host.keystore == {AGENT: []}
+
+    def test_unknown_action_rejected(self):
+        host = fresh_host("alpha", 21)
+        with pytest.raises(ValueError, match="unknown visit action 'rename'"):
+            host_handle_agent(host, AgentDataArea(AGENT), "rename", b"x", SIG, P64)
+        assert host.keystore == {}
+
+    @pytest.mark.parametrize("action", ["append", "edit"])
+    def test_missing_payload_rejected(self, action):
+        host = fresh_host("alpha", 22)
+        with pytest.raises(ValueError, match=f"{action} needs a payload"):
+            host_handle_agent(host, AgentDataArea(AGENT), action, None, SIG, P64)
         assert host.keystore == {}
 
     def test_gen_key_checked_against_current_area(self):
@@ -259,10 +304,8 @@ class TestHostVisits:
                 return self.fallback.getrandbits(k)
 
         host = PeerHostState(ALPHA, FirstCollides(foreign_key.bits))
-        area = append_register(AgentDataArea(AGENT), reg)
-        area = host_handle_agent(
-            host, area, VisitIntent("append", b"mine-ok"), ProtectionMode.SIGNATURE, P64
-        )
+        area = AgentDataArea(AGENT, (reg,))
+        area = host_handle_agent(host, area, "append", b"mine-ok", ProtectionMode.SIGNATURE, P64)
         assert host.keystore[AGENT][0].bits != foreign_key.bits
 
 
@@ -270,7 +313,7 @@ class TestSendKeys:
     def test_drain_once(self):
         host = fresh_host("alpha", 10)
         host_handle_agent(
-            host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, P64
+            host, AgentDataArea(AGENT), "append", b"x", ProtectionMode.SIGNATURE, P64
         )
         response = host_send_keys(host, AGENT)
         assert len(response.keys) == 1
@@ -282,10 +325,10 @@ class TestSendKeys:
         host = fresh_host("alpha", 11)
         other = bytes(16)
         host_handle_agent(
-            host, AgentDataArea(AGENT), VisitIntent("append", b"x"), ProtectionMode.SIGNATURE, P64
+            host, AgentDataArea(AGENT), "append", b"x", ProtectionMode.SIGNATURE, P64
         )
         host_handle_agent(
-            host, AgentDataArea(other), VisitIntent("append", b"y"), ProtectionMode.SIGNATURE, P64
+            host, AgentDataArea(other), "append", b"y", ProtectionMode.SIGNATURE, P64
         )
         response = host_send_keys(host, AGENT)
         assert len(response.keys) == 1
@@ -299,7 +342,8 @@ def honest_area(rng, owners_payloads):
     responses = {}
     for hid, payload, mode in owners_payloads:
         key = make_key(rng, mode, len(payload))
-        area = append_register(area, protect_register(payload, rng.getrandbits(64), key, P64))
+        reg = protect_register(payload, rng.getrandbits(64), key, P64)
+        area = AgentDataArea(AGENT, area.registers + (reg,))
         responses.setdefault(hid, []).append(OneTimeKey(mode, key.bits))
     return area, responses
 
@@ -337,7 +381,7 @@ class TestReconcile:
     def test_injected_register_is_unmatched(self):
         area, responses = honest_area(self.rng, [(ALPHA, b"real", ProtectionMode.SIGNATURE)])
         fake, _ = protect_for(self.rng, b"injected")
-        area = append_register(area, fake)
+        area = AgentDataArea(AGENT, area.registers + (fake,))
         report = server_reconcile(self.server, AGENT, area, responses, [ALPHA], P64)
         assert report.verdict is Verdict.DISCARD
         assert report.reason is DiscardReason.UNMATCHED_REGISTER
@@ -355,7 +399,8 @@ class TestReconcile:
         area = AgentDataArea(AGENT)
         for _ in range(2):
             key = OneTimeKey(ProtectionMode.SIGNATURE, bits)
-            area = append_register(area, protect_register(b"twice", cw, key, P64))
+            reg = protect_register(b"twice", cw, key, P64)
+            area = AgentDataArea(AGENT, area.registers + (reg,))
         responses = {
             ALPHA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
             BETA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
@@ -371,7 +416,7 @@ class TestReconcile:
         reg = protect_register(
             b"once", self.rng.getrandbits(64), OneTimeKey(ProtectionMode.SIGNATURE, bits), P64
         )
-        area = append_register(AgentDataArea(AGENT), reg)
+        area = AgentDataArea(AGENT, (reg,))
         responses = {
             ALPHA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
             BETA: [OneTimeKey(ProtectionMode.SIGNATURE, bits)],
@@ -399,10 +444,8 @@ class TestReconcile:
         # beta contributed, then removed its register and deleted the key
         beta = fresh_host("beta", 14)
         area, responses = honest_area(self.rng, [(ALPHA, b"kept", ProtectionMode.SIGNATURE)])
-        area = host_handle_agent(
-            beta, area, VisitIntent("append", b"gone"), ProtectionMode.SIGNATURE, P64
-        )
-        area = host_handle_agent(beta, area, VisitIntent("remove"), ProtectionMode.SIGNATURE, P64)
+        area = host_handle_agent(beta, area, "append", b"gone", ProtectionMode.SIGNATURE, P64)
+        area = host_handle_agent(beta, area, "remove", None, ProtectionMode.SIGNATURE, P64)
         response = host_send_keys(beta, AGENT)
         responses[BETA] = list(response.keys)
         report = server_reconcile(self.server, AGENT, area, responses, [ALPHA, BETA, BETA], P64)
