@@ -27,6 +27,10 @@ undoes each rotation exactly, so the digest of the derotated blocks equals
 the plain XOR fold of the unmasked stored blocks. Checking such a register
 needs the schedule only to recover the plaintext and its padding.
 
+A signature key's digest-mask half never reaches the schedule, so the
+exhaustive signature-key count digests each candidate codeword once and then
+tests every candidate key against that digest.
+
 Every key is used for exactly one register. Checking a register never
 consumes the key; protecting with it does.
 """
@@ -37,7 +41,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 VALID_WIDTHS = (8, 16, 32, 64)
 
@@ -484,24 +488,39 @@ def key_for_ciphertext(ciphertext: bytes, plaintext: bytes) -> bytes:
     return _xor(ciphertext, plaintext)
 
 
-def enumerate_valid_signature_keys(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> int:
-    """Count, by brute force, the signature keys that validate a register.
+def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:
+    """The 2W-bit signature keys that validate ``reg``, as ints in ascending order.
 
-    Exhausts all 2^(2W) candidate keys, so it is guarded to small widths.
-    The expected count is 2^W: each candidate codeword pairs with exactly one
-    digest mask, which is what makes the real key indistinguishable.
+    A key is its codeword mask (high W bits) then its digest mask. The digest
+    mask never reaches the schedule, so each candidate codeword is digested
+    once, and every digest mask is then tested against that digest. All
+    candidates have 2W bits, which is the signature-mode key length for any
+    message, so no candidate fails the key-length test.
     """
-    if params.block_width_bits > 12:
+    w = params.block_width_bits
+    data = _padded(reg.data_field, params)
+    masked_cw, masked_mfd = reg.masked_cw, reg.masked_mfd
+    for c in range(1 << w):
+        digest = _digest(data, masked_cw ^ c, params)
+        for m in range(1 << w):
+            if masked_mfd ^ m == digest:
+                yield (c << w) | m
+
+
+def enumerate_valid_signature_keys(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> int:
+    """Count, by exhaustive test, the signature keys that validate a register.
+
+    Tests all 2^(2W) candidate keys against the check predicate, digesting
+    each candidate codeword once, so it is guarded to W=8, the only valid
+    width with an enumerable key space. The expected count is 2^W: each
+    candidate codeword pairs with exactly one digest mask, which is what
+    makes the real key indistinguishable.
+    """
+    if params.block_width_bits > 8:
         raise WidthTooLargeError(
-            f"2^{params.signature_width_bits} keys is not enumerable; use width <= 12"
+            f"2^{params.signature_width_bits} keys is not enumerable;"
+            " use width 8, the largest enumerable width"
         )
     if reg.mode is not ProtectionMode.SIGNATURE:
         raise ValueError("signature-key enumeration applies to signature-mode registers")
-    nbytes = params.signature_width_bits // 8
-    probe = OneTimeKey(ProtectionMode.SIGNATURE, b"")  # one object, rebound per candidate
-    count = 0
-    for k in range(1 << params.signature_width_bits):
-        probe.bits = k.to_bytes(nbytes, "big")
-        if check_register(reg, probe, params).valid:
-            count += 1
-    return count
+    return sum(1 for _ in _valid_signature_keys(reg, params))

@@ -156,3 +156,18 @@ def reconcile_reference(registers, key_responses, route, check) -> tuple:
         if registers[ri].mode.name == "ENCRYPTION":
             plaintexts[ri] = results[(ki, ri)]
     return "accept", None, tuple(attribution), plaintexts
+
+
+def valid_signature_keys_reference(reg, check, make_key, width) -> list:
+    """Every 2W-bit signature key checked in turn: the enumeration oracle.
+
+    ``make_key(octets)`` wraps key octets as a signature key and
+    ``check(register, key)`` returns an object with ``valid``. Returns the
+    validating keys as ints, ascending.
+    """
+    octets = 2 * width // 8
+    return [
+        k
+        for k in range(1 << (2 * width))
+        if check(reg, make_key(k.to_bytes(octets, "big"))).valid
+    ]

@@ -21,6 +21,7 @@ from agentpad.cipher import (
     ProtectionMode,
     Register,
     WidthTooLargeError,
+    _valid_signature_keys,
     check_register,
     compute_mfd,
     enumerate_valid_signature_keys,
@@ -32,6 +33,7 @@ from agentpad.cipher import (
     rotate_right,
     split_into_blocks,
 )
+from agentpad.codec import encode_register, read_register
 from oracles import (
     digest_reference,
     protect_reference,
@@ -39,6 +41,7 @@ from oracles import (
     rotl_bits,
     rotr_bits,
     split_reference,
+    valid_signature_keys_reference,
 )
 
 P8 = CipherParams(8)
@@ -482,6 +485,36 @@ class TestEnumerateSignatureKeys:
         key = make_key(rng, ProtectionMode.SIGNATURE, 0, P8)
         reg = protect_register(b"", rng.getrandbits(8), key, P8)
         assert enumerate_valid_signature_keys(reg, P8) == 256
+
+    def test_key_list_matches_reference(self):
+        # 0, 1 and 8 octets take the straight walk, 9 and 24 the folded one;
+        # every register is enumerated under all 256 codewords
+        rng = random.Random(16)
+        cases = []
+        for n in (0, 1, 8, 9, 24):
+            key = make_key(rng, ProtectionMode.SIGNATURE, n, P8)
+            reg = protect_register(rng.randbytes(n), rng.getrandbits(8), key, P8)
+            cases.append((reg, int.from_bytes(key.bits, "big")))
+        # at W=8 every octet is a block, so a rewritten length moves the field
+        # boundaries; read_register decodes the shifted fields, as inside an area
+        raw = bytearray(encode_register(cases[-1][0], P8))
+        raw[1:5] = (22).to_bytes(4, "big")
+        shifted, _ = read_register(bytes(raw), 0, P8)
+        assert len(shifted.data_field) == 22
+        cases.append((shifted, None))
+
+        def check(reg, key):
+            return check_register(reg, key, P8)
+
+        def as_key(octets):
+            return OneTimeKey(ProtectionMode.SIGNATURE, octets)
+
+        for reg, genuine in cases:
+            keys = list(_valid_signature_keys(reg, P8))
+            assert keys == valid_signature_keys_reference(reg, check, as_key, 8)
+            assert len(keys) == 256
+            if genuine is not None:
+                assert genuine in keys
 
     def test_width_guard(self):
         rng = random.Random(14)

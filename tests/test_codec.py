@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentpad.cipher import (
+    CheckReason,
     CipherParams,
     OneTimeKey,
     ProtectionMode,
     Register,
+    check_register,
     padded_octets,
     protect_register,
     required_key_octets,
@@ -118,6 +120,66 @@ class TestRegisterWire:
         raw = encode_register(random_register(random.Random(4), P64), P64)
         with pytest.raises(TrailingGarbageError):
             decode_register(raw + b"\x00", P64)
+
+
+class TestHeaderTampers:
+    """Rewrites of the clear mode and length, which the digest does not cover.
+
+    The wire format leaves both unauthenticated, so each outcome is pinned
+    exactly rather than assumed rejected.
+    """
+
+    @pytest.mark.parametrize("width", [8, 64])
+    @pytest.mark.parametrize("mode", list(ProtectionMode), ids=lambda m: m.name.lower())
+    def test_length_rewrite_within_padded_size(self, width, mode):
+        params = CipherParams(width)
+        bb = params.block_bytes
+        rng = random.Random(width)
+        reasons = []
+        for n in range(3 * bb + 1):
+            # a zero tail lets a shortened length pass the padding rule
+            for zeros in (0, min(n, bb)):
+                message = rng.randbytes(n - zeros) + bytes(zeros)
+                reg, key = protected_register(rng, params, message, mode)
+                raw = bytearray(encode_register(reg, params))
+                padded = padded_octets(n, params)
+                extended = message + bytes(padded - n)
+                for length in range(padded + 1):
+                    if padded_octets(length, params) != padded:
+                        continue
+                    raw[1:5] = length.to_bytes(4, "big")
+                    tampered = decode_register(bytes(raw), params)
+                    assert tampered.length == length
+                    result = check_register(tampered, key, params)
+                    reasons.append(result.reason)
+                    if mode is ProtectionMode.SIGNATURE:
+                        assert result.valid and result.reason is CheckReason.OK
+                    elif any(extended[length:]):
+                        assert not result.valid
+                        assert result.reason is CheckReason.PADDING_NONZERO
+                    else:
+                        assert result.valid and result.reason is CheckReason.OK
+                        assert result.plaintext == extended[:length]
+        # at W=8 every length is its own padded size; at W=64 both rules show
+        expect_both = width == 64 and mode is ProtectionMode.ENCRYPTION
+        assert set(reasons) == (
+            {CheckReason.OK, CheckReason.PADDING_NONZERO} if expect_both else {CheckReason.OK}
+        )
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_mode_flip_on_empty_register_validates(self, width):
+        # both modes take a 2W-bit key for an empty message
+        params = CipherParams(width)
+        rng = random.Random(17)
+        for mode, flipped_mode in zip(ProtectionMode, reversed(ProtectionMode)):
+            reg, key = protected_register(rng, params, b"", mode)
+            raw = bytearray(encode_register(reg, params))
+            raw[0] = flipped_mode.value
+            flipped = decode_register(bytes(raw), params)
+            assert flipped.mode is flipped_mode
+            result = check_register(flipped, key, params)
+            assert result.valid and result.reason is CheckReason.OK
+            assert result.plaintext == (b"" if flipped_mode is ProtectionMode.ENCRYPTION else None)
 
 
 class TestAreaWire:
