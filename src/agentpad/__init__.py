@@ -15,14 +15,11 @@ from .cipher import (
     ProtectionMode,
     Register,
     check_register,
-    compute_mfd,
     default_rng,
     enumerate_valid_signature_keys,
     gen_key,
     key_for_ciphertext,
     protect_register,
-    rotate_left,
-    rotate_right,
     split_into_blocks,
 )
 from .codec import (

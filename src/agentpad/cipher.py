@@ -97,7 +97,7 @@ class CipherParams:
     block_width_bits: int = 64
 
     def __post_init__(self):
-        if self.block_width_bits not in VALID_WIDTHS:
+        if not isinstance(self.block_width_bits, int) or self.block_width_bits not in VALID_WIDTHS:
             raise ValueError(
                 f"block width must be one of {VALID_WIDTHS}, got {self.block_width_bits}"
             )
@@ -195,20 +195,6 @@ def required_key_octets(mode: ProtectionMode, message_octets: int, params: Ciphe
     return padded_octets(message_octets, params) + signature
 
 
-def rotate_left(f: int, n: int, params: CipherParams) -> int:
-    """Circular left rotation of a W-bit word; n is reduced modulo W."""
-    w = params.block_width_bits
-    n %= w
-    return ((f << n) | (f >> (w - n))) & params.word_mask
-
-
-def rotate_right(f: int, n: int, params: CipherParams) -> int:
-    """Circular right rotation of a W-bit word; inverse of rotate_left."""
-    w = params.block_width_bits
-    n %= w
-    return ((f >> n) | (f << (w - n))) & params.word_mask
-
-
 def split_into_blocks(data: bytes, params: CipherParams) -> list[int]:
     """Pack octets big-endian into W-bit words, zero-padding the tail block."""
     bb = params.block_bytes
@@ -218,11 +204,6 @@ def split_into_blocks(data: bytes, params: CipherParams) -> list[int]:
     if rem:
         data = data + b"\x00" * (bb - rem)
     return [int.from_bytes(data[i : i + bb], "big") for i in range(0, len(data), bb)]
-
-
-def join_blocks(blocks: Iterable[int], params: CipherParams) -> bytes:
-    bb = params.block_bytes
-    return b"".join(b.to_bytes(bb, "big") for b in blocks)
 
 
 def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
@@ -337,16 +318,6 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
     return out.to_bytes(len(data), "big")
 
 
-def compute_mfd(blocks: list[int], cw: int, params: CipherParams) -> int:
-    """Digest of a block sequence under the codeword's rotation schedule.
-
-    The XOR of the blocks, each rotated left by the low r bits of its
-    codeword state. The caller's codeword is not modified; an empty sequence
-    digests to zero.
-    """
-    return _digest(join_blocks(blocks, params), cw, params)
-
-
 def _padded(data: bytes, params: CipherParams) -> bytes:
     """``data`` zero-padded to a whole number of blocks."""
     short = -len(data) % params.block_bytes
@@ -424,10 +395,7 @@ def check_register(
     claimed = reg.masked_mfd ^ (masks & params.word_mask)
 
     if reg.mode is ProtectionMode.SIGNATURE:
-        data = reg.data_field
-        if len(data) % bb:
-            data = _padded(data, params)
-        if _digest(data, cw, params) != claimed:
+        if _digest(_padded(reg.data_field, params), cw, params) != claimed:
             return _DIGEST_REJECT
         return _SIGNATURE_OK
 

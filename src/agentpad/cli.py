@@ -71,9 +71,12 @@ def cmd_run(args) -> int:
         return _fail(f"invalid scenario: {exc}")
     report = run_scenario(scenario)
     text = report.to_json()
-    print(text)
     if args.report:
-        Path(args.report).write_text(text + "\n")
+        try:
+            Path(args.report).write_text(text + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write report: {exc}")
+    print(text)
     verdict = report.verification.verdict
     if args.verbose:
         reason = report.verification.reason

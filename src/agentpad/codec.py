@@ -67,16 +67,22 @@ def encode_register(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> byt
     )
 
 
-def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS) -> tuple[Register, int]:
-    """Decode one register at ``offset``; returns it and the next offset."""
-    bb = params.block_bytes
+def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, int]:
+    """The mode octet and 4-octet count that open a register or key image."""
     if len(raw) - offset < 5:
-        raise TruncatedError("register header incomplete")
+        raise TruncatedError(f"{what} header incomplete")
     try:
         mode = ProtectionMode(raw[offset])
     except ValueError:
         raise UnknownModeError(f"mode octet 0x{raw[offset]:02x}") from None
-    (length,) = struct.unpack_from(">I", raw, offset + 1)
+    (count,) = struct.unpack_from(">I", raw, offset + 1)
+    return mode, count
+
+
+def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS) -> tuple[Register, int]:
+    """Decode one register at ``offset``; returns it and the next offset."""
+    bb = params.block_bytes
+    mode, length = _read_header(raw, offset, "register")
     data_octets = padded_octets(length, params)
     end = offset + 5 + data_octets + 2 * bb
     if len(raw) < end:
@@ -127,13 +133,7 @@ def encode_key(key: OneTimeKey) -> bytes:
 
 
 def read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
-    if len(raw) - offset < 5:
-        raise TruncatedError("key header incomplete")
-    try:
-        mode = ProtectionMode(raw[offset])
-    except ValueError:
-        raise UnknownModeError(f"mode octet 0x{raw[offset]:02x}") from None
-    (bit_length,) = struct.unpack_from(">I", raw, offset + 1)
+    mode, bit_length = _read_header(raw, offset, "key")
     if bit_length % 8:
         raise CodecError("key bit length is not a whole number of octets")
     end = offset + 5 + bit_length // 8

@@ -60,10 +60,13 @@ class EmptyRouteError(ProtocolError):
 
 
 def host_id(label: str) -> bytes:
-    """8-octet identifier from a short label (NUL-padded UTF-8)."""
+    """8-octet identifier from a short label (NUL-padded UTF-8).
+
+    A label holding a NUL is refused: its id would read back as another label.
+    """
     raw = label.encode()
-    if not 0 < len(raw) <= HOST_ID_OCTETS:
-        raise ValueError(f"host label must encode to 1..{HOST_ID_OCTETS} octets: {label!r}")
+    if not 0 < len(raw) <= HOST_ID_OCTETS or b"\x00" in raw:
+        raise ValueError(f"host label must encode to 1..{HOST_ID_OCTETS} non-NUL octets: {label!r}")
     return raw.ljust(HOST_ID_OCTETS, b"\x00")
 
 
@@ -309,9 +312,8 @@ def merge_route_answers(answers: list[list[bytes]]) -> list[bytes] | None:
 
 @dataclass
 class AgentServerState:
-    """The dispatching server: its identity and the rng that mints agent ids."""
+    """The dispatching server: the rng that mints agent ids."""
 
-    id: bytes
     rng: Any
 
 

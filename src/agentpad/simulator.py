@@ -142,16 +142,6 @@ class SimEvent:
     security: str
     detail: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "src": self.src,
-            "dst": self.dst,
-            "security": self.security,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SimReport:
@@ -163,7 +153,8 @@ class SimReport:
     def to_dict(self) -> dict:
         v = self.verification
         return {
-            "trace": [ev.to_dict() for ev in self.trace],
+            # an event's fields; dataclasses.asdict would deep-copy each one
+            "trace": [vars(ev) for ev in self.trace],
             "verification": {
                 "verdict": v.verdict.value,
                 "reason": v.reason.value if v.reason else None,
@@ -181,6 +172,35 @@ class SimReport:
 
 
 # --- scenario files ----------------------------------------------------------
+
+
+_JSON_TYPES = {
+    bool: "a boolean", int: "an integer", float: "a number",
+    str: "a string", list: "an array", dict: "an object", type(None): "null",
+}
+
+
+def _type_error(value, kind: type, name: str) -> InvalidScenarioError:
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return InvalidScenarioError(f"{name} must be {_JSON_TYPES[kind]}, got {got}")
+
+
+def _field(raw: dict, key: str, kind: type, default, where: str = ""):
+    """``raw[key]`` or ``default`` when absent, of JSON type ``kind``; a field
+    whose default is None may also be null."""
+    value = raw.get(key, default)
+    if type(value) is not kind and not (value is None and default is None):
+        raise _type_error(value, kind, where + key)
+    return value
+
+
+def _array(raw: dict, key: str, kind: type, where: str = "") -> list:
+    """``raw[key]``, an array (empty when absent) of JSON type ``kind`` items."""
+    items = _field(raw, key, list, [], where)
+    for i, item in enumerate(items):
+        if type(item) is not kind:
+            raise _type_error(item, kind, f"{where}{key}[{i}]")
+    return items
 
 
 def _hex_or_none(value, where: str) -> bytes | None:
@@ -201,7 +221,7 @@ def _behavior_from_dict(raw: dict, where: str) -> BehaviorProfile:
         raise InvalidScenarioError(f"{where}: unknown profile {kind!r}")
     profile = BehaviorProfile(
         kind,
-        raw.get("target_index"),
+        _field(raw, "target_index", int, None, f"{where}."),
         _hex_or_none(raw.get("forged_payload"), f"{where}.forged_payload"),
     )
     if kind == COUNTERFEIT and (profile.target_index is None or profile.forged_payload is None):
@@ -212,7 +232,11 @@ def _behavior_from_dict(raw: dict, where: str) -> BehaviorProfile:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build and validate a Scenario from its JSON form."""
+    """Build and validate a Scenario from its JSON form.
+
+    Fields are type-checked as they are read, so a malformed scenario
+    raises InvalidScenarioError and nothing else.
+    """
     known = {
         "params", "seed", "agent_server", "route_servers", "hosts", "route",
         "channels", "default_channel_security", "policy_mode",
@@ -221,19 +245,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if extra:
         raise InvalidScenarioError(f"unknown scenario keys {sorted(extra)}")
     try:
-        params = CipherParams(**raw.get("params", {}))
+        params = CipherParams(**_field(raw, "params", dict, {}))
     except (TypeError, ValueError) as exc:
         raise InvalidScenarioError(f"bad params: {exc}") from None
 
     hosts = []
-    for i, h in enumerate(raw.get("hosts", [])):
+    for i, h in enumerate(_array(raw, "hosts", dict)):
         where = f"hosts[{i}]"
         extra = set(h) - {"id", "behavior", "payload", "mode", "revisit"}
         if extra:
             raise InvalidScenarioError(f"{where}: unknown keys {sorted(extra)}")
         if "id" not in h:
             raise InvalidScenarioError(f"{where}: missing id")
-        mode = h.get("mode", "sign")
+        mode = _field(h, "mode", str, "sign", f"{where}.")
         if mode not in MODE_WORDS:
             raise InvalidScenarioError(f"{where}: mode must be sign or encrypt")
         revisit = h.get("revisit", "edit")
@@ -241,8 +265,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise InvalidScenarioError(f"{where}: revisit must be one of {REVISIT_ACTIONS}")
         hosts.append(
             HostConfig(
-                h["id"],
-                _behavior_from_dict(h.get("behavior", {}), f"{where}.behavior"),
+                _field(h, "id", str, "", f"{where}."),
+                _behavior_from_dict(_field(h, "behavior", dict, {}, f"{where}."), f"{where}.behavior"),
                 _hex_or_none(h.get("payload"), f"{where}.payload"),
                 MODE_WORDS[mode],
                 revisit,
@@ -250,15 +274,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
         )
 
     channels = []
-    for i, c in enumerate(raw.get("channels", [])):
+    for i, c in enumerate(_array(raw, "channels", dict)):
         where = f"channels[{i}]"
-        if set(c) != {"endpoints", "security"} or len(c["endpoints"]) != 2:
+        endpoints = _array(c, "endpoints", str, f"{where}.")
+        if set(c) != {"endpoints", "security"} or len(endpoints) != 2:
             raise InvalidScenarioError(f"{where}: need endpoints [a, b] and security")
         try:
             security = ChannelSecurity(c["security"])
         except ValueError:
             raise InvalidScenarioError(f"{where}: bad security {c['security']!r}") from None
-        channels.append(Channel(tuple(sorted(c["endpoints"])), security))
+        channels.append(Channel(tuple(sorted(endpoints)), security))
 
     try:
         default_security = ChannelSecurity(raw.get("default_channel_security", "secure"))
@@ -267,11 +292,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     scenario = Scenario(
         params=params,
-        seed=raw.get("seed", 0),
-        agent_server=raw.get("agent_server", ""),
-        route_servers=tuple(raw.get("route_servers", [])),
+        seed=_field(raw, "seed", int, 0),
+        agent_server=_field(raw, "agent_server", str, ""),
+        route_servers=tuple(_array(raw, "route_servers", str)),
         hosts=tuple(hosts),
-        route=tuple(raw.get("route", [])),
+        route=tuple(_array(raw, "route", str)),
         channels=tuple(channels),
         default_channel_security=default_security,
         policy_mode=raw.get("policy_mode", "record"),
@@ -282,9 +307,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidScenarioError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidScenarioError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidScenarioError("JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise InvalidScenarioError("scenario file must hold a JSON object")
     return scenario_from_dict(raw)
@@ -429,7 +458,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
     server_rng = random.Random(master.getrandbits(64))
     host_rngs = {cfg.id: random.Random(master.getrandbits(64)) for cfg in scenario.hosts}
 
-    server = AgentServerState(host_id(scenario.agent_server), server_rng)
+    server = AgentServerState(server_rng)
     rs_states = {label: RouteServerState() for label in scenario.route_servers}
     hosts = {
         cfg.id: _HostRuntime(cfg, PeerHostState(host_id(cfg.id), host_rngs[cfg.id]))

@@ -325,18 +325,32 @@ def test_criterion_6_non_interactivity(attack_suite_reports):
 
 
 def test_criterion_7_channel_policy():
-    """Encryption keys over insecure channels always violate; signature keys never."""
+    """Encryption keys over insecure channels always violate; signature keys never.
+
+    A violation names its kind, the channel's endpoints and how many
+    encryption keys the response exposed.
+    """
     rng = random.Random(0xC1A06)
     insecure = Channel(("h", "server"), ChannelSecurity.INSECURE)
     secure = Channel(("h", "server"), ChannelSecurity.SECURE)
+
+    def violation(exposed):
+        return {"kind": "insecure_key_transfer", "channel": ["h", "server"], "encryption_keys": exposed}
+
     for _ in range(200):
         enc = OneTimeKey(ProtectionMode.ENCRYPTION, rng.randbytes(rng.randrange(16, 48)))
         sig = OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(16))
-        assert enforce_channel_policy(KeyResponse((enc,)), insecure) is not None
-        assert enforce_channel_policy(KeyResponse((sig, enc)), insecure) is not None
+        assert enforce_channel_policy(KeyResponse((enc,)), insecure) == violation(1)
+        assert enforce_channel_policy(KeyResponse((sig, enc)), insecure) == violation(1)
         assert enforce_channel_policy(KeyResponse((sig,)), insecure) is None
         assert enforce_channel_policy(KeyResponse((sig, enc)), secure) is None
         assert enforce_channel_policy(KeyResponse((sig,)), secure) is None
+        exposed = rng.randrange(4)
+        mix = [enc] * exposed + [sig] * rng.randrange(4)
+        rng.shuffle(mix)
+        expected = violation(exposed) if exposed else None
+        assert enforce_channel_policy(KeyResponse(tuple(mix)), insecure) == expected
+        assert enforce_channel_policy(KeyResponse(tuple(mix)), secure) is None
     print("\n[criterion 7] channel policy: 200 key mixes classified correctly  PASS")
 
 

@@ -44,6 +44,68 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: invalid scenario: seed must fit in 64 bits\n"
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({("hosts",): 5}, id="hosts-number"),
+            pytest.param({("hosts",): [5]}, id="hosts-of-numbers"),
+            pytest.param({("seed",): "7"}, id="seed-string"),
+            pytest.param({("route_servers",): 5}, id="route_servers-number"),
+            pytest.param({("agent_server",): 5}, id="agent_server-number"),
+            pytest.param({("hosts", 0, "id"): 5}, id="host-id-number"),
+            pytest.param({("hosts", 0, "mode"): []}, id="host-mode-array"),
+            pytest.param({("hosts", 0, "behavior"): 5}, id="behavior-number"),
+            pytest.param(
+                {("hosts", 1, "behavior"): {"profile": "erase_foreign", "target_index": "x"}},
+                id="target_index-string",
+            ),
+            pytest.param({("channels",): [5]}, id="channels-of-numbers"),
+            pytest.param({("route",): [["alpha"]]}, id="route-of-arrays"),
+            pytest.param({("params", "block_width_bits"): 64.0}, id="width-float"),
+            pytest.param(
+                {("hosts", 0, "id"): "alpha\x00", ("route", 0): "alpha\x00"}, id="host-id-with-nul"
+            ),
+        ],
+    )
+    def test_malformed_scenario_exits_one(self, changes, tmp_path, capsys):
+        raw = json.loads((SCENARIO_DIR / "honest.json").read_text())
+        for (*parents, last), value in changes.items():
+            target = raw
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid scenario: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            pytest.param(b'{"agent_server": "\xff"}', "not UTF-8 text: ", id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply", id="deep"),
+        ],
+    )
+    def test_undecodable_scenario_exits_one(self, content, error, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["run", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid scenario: {error}")
+
+    def test_unwritable_report_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "report.json"
+        assert main(["run", str(SCENARIO_DIR / "honest.json"), "--report", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write report: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_override_and_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["run", str(SCENARIO_DIR / "honest.json"), "--seed", "99", "--report", str(out)]) == 0

@@ -3,8 +3,9 @@ module-level function or class is referred to somewhere in the package.
 
 Deletions tend to leave imports and dead definitions behind; this keeps them
 from piling up. ``__init__.py`` is exempt from both checks, since its imports
-are the package's re-exports (which count as references), and ``__future__``
-imports are exempt from the first.
+are the package's re-exports, and a re-export is not a reference: a public
+helper that no package module calls is flagged unless it is allowlisted.
+``__future__`` imports are exempt from the first check.
 """
 
 import ast
@@ -56,10 +57,14 @@ def referenced_names(tree: ast.AST) -> Counter:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes that nothing in ``sources`` refers to
-    outside their own definition; ``sources`` maps file names to source text."""
+    """Module-level functions and classes that nothing in ``sources`` but
+    ``__init__.py`` refers to outside their own definition; ``sources`` maps
+    file names to source text."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    referenced = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    referenced = sum(
+        (referenced_names(tree) for name, tree in trees.items() if name != "__init__.py"),
+        Counter(),
+    )
     return [
         f"{name}: {node.name}"
         for name, tree in trees.items()
@@ -70,9 +75,15 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+# Public names that no package module calls. key_for_ciphertext is the
+# constructive witness of the paper's "a key for every same-length plaintext",
+# which acceptance criterion 3 runs, so the package keeps exporting it.
+EXPORTED_ONLY = ["cipher.py: key_for_ciphertext"]
+
+
 def test_no_unreferenced_definitions():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert unreferenced_definitions(sources) == []
+    assert unreferenced_definitions(sources) == EXPORTED_ONLY
 
 
 def test_detects_an_unreferenced_definition():
@@ -87,4 +98,4 @@ def test_detects_an_unreferenced_definition():
         ),
         "b.py": "import a\nfrom .a import imported\na.by_attribute()\n",
     }
-    assert unreferenced_definitions(sources) == ["a.py: recursive", "a.py: Dead"]
+    assert unreferenced_definitions(sources) == ["a.py: exported", "a.py: recursive", "a.py: Dead"]

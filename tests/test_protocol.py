@@ -80,6 +80,8 @@ class TestHostIds:
             host_id("")
         with pytest.raises(ValueError):
             host_id("much-too-long")
+        with pytest.raises(ValueError):
+            host_id("alpha\x00")  # would read back as "alpha"
 
 
 class TestMessageWire:
@@ -176,12 +178,12 @@ class TestRouteServer:
 
 class TestDispatch:
     def test_empty_route_rejected(self):
-        server = AgentServerState(host_id("server"), random.Random(2))
+        server = AgentServerState(random.Random(2))
         with pytest.raises(EmptyRouteError):
             server_dispatch(server, [])
 
     def test_fresh_agent_ids(self):
-        server = AgentServerState(host_id("server"), random.Random(3))
+        server = AgentServerState(random.Random(3))
         area1 = server_dispatch(server, [ALPHA])
         area2 = server_dispatch(server, [ALPHA])
         assert area1.agent != area2.agent
@@ -351,7 +353,7 @@ def honest_area(rng, owners_payloads):
 class TestReconcile:
     def setup_method(self):
         self.rng = random.Random(12)
-        self.server = AgentServerState(host_id("server"), random.Random(13))
+        self.server = AgentServerState(random.Random(13))
 
     def test_honest_three_hosts(self):
         area, responses = honest_area(
@@ -487,7 +489,7 @@ class TestReconcileMatchesReference:
         return params, AgentDataArea(AGENT, tuple(registers)), responses, route
 
     def test_seeded_cases_match_reference(self):
-        server = AgentServerState(host_id("server"), random.Random(0))
+        server = AgentServerState(random.Random(0))
         outcomes = {}
         for seed in range(3000):
             params, area, responses, route = self.random_case(random.Random(seed))

@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agentpad.cipher import CipherParams, OneTimeKey, ProtectionMode
 from agentpad.codec import AgentDataArea
@@ -92,6 +93,77 @@ class TestScenarioLoading:
         bad.write_text("{not json")
         with pytest.raises(InvalidScenarioError):
             load_scenario(bad)
+
+
+# Every role and profile, so that a change to any field reaches code that reads it.
+RICH_RAW = {
+    "params": {"block_width_bits": 8},
+    "seed": 3,
+    "agent_server": "server",
+    "route_servers": ["rs1", "rs2"],
+    "hosts": [
+        {"id": "alpha", "payload": "aa01", "mode": "sign", "revisit": "edit", "behavior": {"profile": "honest"}},
+        {
+            "id": "beta",
+            "payload": "bb02",
+            "mode": "encrypt",
+            "revisit": "remove",
+            "behavior": {"profile": "counterfeit", "target_index": 0, "forged_payload": "ff"},
+        },
+        {"id": "gamma", "payload": "cc03", "behavior": {"profile": "erase_foreign", "target_index": 1}},
+    ],
+    "route": ["alpha", "beta", "gamma", "alpha"],
+    "channels": [{"endpoints": ["alpha", "server"], "security": "insecure"}],
+    "default_channel_security": "secure",
+    "policy_mode": "record",
+}
+
+
+def field_paths(value, path=()):
+    """The path of every value inside a decoded JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# values a field of some other name accepts, so that swaps reach past the type checks
+near_valid = st.sampled_from(
+    ["alpha", "gamma", "server", "rs1", "sign", "encrypt", "edit", "remove", "idle", "secure",
+     "insecure", "abort", "honest", "counterfeit", "erase_foreign", "orphan_key", "", "00ff",
+     0, 1, 2, -1, 8, 64, 2**64, ["alpha"], ["alpha", "server"], {}, {"profile": "key_reuse"}]
+)
+
+
+class TestScenarioLoaderIsTotal:
+    @given(st.sampled_from(list(field_paths(RICH_RAW))), json_values | near_valid)
+    @settings(max_examples=200, deadline=None)
+    def test_any_value_in_any_field_loads_and_runs_or_is_rejected(self, path, value):
+        raw = json.loads(json.dumps(RICH_RAW))
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            scenario = scenario_from_dict(raw)
+        except InvalidScenarioError:
+            return
+        run_scenario(scenario)  # any other exception fails the property
+
+    def test_rich_scenario_runs(self):
+        # the property above says nothing unless the unchanged document runs
+        report = run_scenario(scenario_from_dict(RICH_RAW))
+        assert report.verification.verdict is Verdict.DISCARD
 
 
 class TestHonestRuns:
