@@ -29,13 +29,7 @@ from .cipher import (
 )
 from .codec import CodecError, decode_key, decode_register, encode_key, encode_register
 from .protocol import Verdict
-from .simulator import (
-    MODE_WORDS,
-    InvalidScenarioError,
-    load_scenario,
-    run_scenario,
-    validate_scenario,
-)
+from .simulator import MODE_WORDS, InvalidScenarioError, load_scenario, run_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +57,7 @@ def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-            validate_scenario(scenario)
+            scenario = replace(scenario, seed=args.seed)  # re-validates
     except OSError as exc:
         return _fail(f"cannot read scenario: {exc}")
     except InvalidScenarioError as exc:

@@ -8,16 +8,18 @@ Register layout (all integers big-endian):
     masked_cw   W/8 octets
     masked_mfd  W/8 octets
 
-An area image is a 4-octet register count followed by the registers. A key
-image is a mode octet, a 4-octet bit length, and the key octets. Neither
-registers nor keys carry a host identifier: authorship is established only by
-key matching at the agent server, which knows which host surrendered each key.
+An area image is a counted list, the framing every list on the wire shares:
+a 4-octet item count, then the registers. A key image is a mode octet, a
+4-octet bit length, and the key octets. Neither registers nor keys carry a
+host identifier: authorship is established only by key matching at the agent
+server, which knows which host surrendered each key.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from .cipher import (
     CipherParams,
@@ -54,21 +56,12 @@ class AgentDataArea:
     registers: tuple[Register, ...] = ()
 
 
-def encode_register(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> bytes:
-    bb = params.block_bytes
-    return b"".join(
-        (
-            bytes([reg.mode.value]),
-            struct.pack(">I", reg.length),
-            reg.data_field,
-            reg.masked_cw.to_bytes(bb, "big"),
-            reg.masked_mfd.to_bytes(bb, "big"),
-        )
-    )
+def _write_header(mode: ProtectionMode, count: int) -> bytes:
+    """The mode octet and 4-octet count that open a register or key image."""
+    return struct.pack(">BI", mode.value, count)
 
 
 def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, int]:
-    """The mode octet and 4-octet count that open a register or key image."""
     if len(raw) - offset < 5:
         raise TruncatedError(f"{what} header incomplete")
     try:
@@ -77,6 +70,41 @@ def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, in
         raise UnknownModeError(f"mode octet 0x{raw[offset]:02x}") from None
     (count,) = struct.unpack_from(">I", raw, offset + 1)
     return mode, count
+
+
+def read_exact(raw: bytes, octets: int, what: str) -> bytes:
+    """``raw`` itself, when it is a fixed-size image of exactly ``octets``."""
+    if len(raw) != octets:
+        error = TruncatedError if len(raw) < octets else TrailingGarbageError
+        raise error(f"{what} is {len(raw)} octets, not {octets}")
+    return raw
+
+
+def write_counted(images: Sequence[bytes]) -> bytes:
+    """A counted list: the 4-octet item count, then the item images."""
+    return struct.pack(">I", len(images)) + b"".join(images)
+
+
+def read_counted(raw: bytes, read_item: Callable[..., tuple[Any, int]], what: str, *args) -> tuple:
+    """Every item of the counted list that fills ``raw`` exactly;
+    ``read_item(raw, offset, *args)`` returns one item and the next offset."""
+    if len(raw) < 4:
+        raise TruncatedError(f"{what} count incomplete")
+    (count,) = struct.unpack_from(">I", raw, 0)
+    offset = 4
+    items = []
+    for _ in range(count):
+        item, offset = read_item(raw, offset, *args)
+        items.append(item)
+    if offset != len(raw):
+        raise TrailingGarbageError(f"{len(raw) - offset} octets after {what}")
+    return tuple(items)
+
+
+def encode_register(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> bytes:
+    bb = params.block_bytes
+    cw, mfd = reg.masked_cw.to_bytes(bb, "big"), reg.masked_mfd.to_bytes(bb, "big")
+    return b"".join((_write_header(reg.mode, reg.length), reg.data_field, cw, mfd))
 
 
 def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS) -> tuple[Register, int]:
@@ -109,27 +137,15 @@ def decode_register(raw: bytes, params: CipherParams = DEFAULT_PARAMS) -> Regist
 
 
 def encode_area(area: AgentDataArea, params: CipherParams = DEFAULT_PARAMS) -> bytes:
-    parts = [struct.pack(">I", len(area.registers))]
-    parts.extend(encode_register(reg, params) for reg in area.registers)
-    return b"".join(parts)
+    return write_counted([encode_register(reg, params) for reg in area.registers])
 
 
 def decode_area(raw: bytes, agent: bytes, params: CipherParams = DEFAULT_PARAMS) -> AgentDataArea:
-    if len(raw) < 4:
-        raise TruncatedError("register count incomplete")
-    (count,) = struct.unpack_from(">I", raw, 0)
-    offset = 4
-    registers = []
-    for _ in range(count):
-        reg, offset = read_register(raw, offset, params)
-        registers.append(reg)
-    if offset != len(raw):
-        raise TrailingGarbageError(f"{len(raw) - offset} octets after area")
-    return AgentDataArea(agent, tuple(registers))
+    return AgentDataArea(agent, read_counted(raw, read_register, "area", params))
 
 
 def encode_key(key: OneTimeKey) -> bytes:
-    return bytes([key.mode.value]) + struct.pack(">I", key.bit_length()) + key.bits
+    return _write_header(key.mode, key.bit_length()) + key.bits
 
 
 def read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:

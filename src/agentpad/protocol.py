@@ -9,22 +9,24 @@ acceptance demands a perfect one-to-one matching plus route consistency, so
 erased registers surface as orphan keys and injected registers as unmatched
 ones.
 
-Message wire layouts (big-endian throughout):
+Message wire layouts (big-endian throughout; a counted list is a 4-octet
+item count followed by the items):
 
-    AgentTransfer   agent id (16) + area image
+    AgentDataArea   agent id (16) + area image (counted list of registers),
+                    traced as agent_transfer
     RouteLogEntry   agent id (16) + host id (8)
     RouteQuery      agent id (16)
-    RouteAnswer     count (4) + host ids (8 each)
+    RouteAnswer     counted list of host ids (8 each)
     KeyRequest      agent id (16)
-    KeyResponse     count (4) + per key: mode octet, bit length (4), octets
+    KeyResponse     counted list of keys: mode octet, bit length (4), octets
 
 ``MESSAGE_CODECS`` maps each message class to its trace kind, encoder and
-decoder; the simulator's bus sends every message through it.
+decoder. Every codec takes ``(value, params)``, so the simulator's bus sends
+every message through it the same way.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
@@ -40,11 +42,15 @@ from .cipher import (
 )
 from .codec import (
     AgentDataArea,
-    TrailingGarbageError,
     TruncatedError,
-    find_own_registers,
-    read_key,
+    decode_area,
+    encode_area,
     encode_key,
+    find_own_registers,
+    read_counted,
+    read_exact,
+    read_key,
+    write_counted,
 )
 
 HOST_ID_OCTETS = 8
@@ -78,12 +84,6 @@ def host_label(hid: bytes) -> str:
 
 
 @dataclass(frozen=True)
-class AgentTransfer:
-    agent: bytes
-    area_image: bytes
-
-
-@dataclass(frozen=True)
 class RouteLogEntry:
     agent: bytes
     host: bytes
@@ -109,94 +109,64 @@ class KeyResponse:
     keys: tuple[OneTimeKey, ...]
 
 
-def _agent_id(raw: bytes, what: str) -> bytes:
+def encode_agent_transfer(area: AgentDataArea, params: CipherParams) -> bytes:
+    return area.agent + encode_area(area, params)
+
+
+def decode_agent_transfer(raw: bytes, params: CipherParams) -> AgentDataArea:
     if len(raw) < AGENT_ID_OCTETS:
-        raise TruncatedError(f"{what}: agent id incomplete")
-    return raw[:AGENT_ID_OCTETS]
+        raise TruncatedError("agent transfer: agent id incomplete")
+    return decode_area(raw[AGENT_ID_OCTETS:], raw[:AGENT_ID_OCTETS], params)
 
 
-def encode_agent_transfer(msg: AgentTransfer) -> bytes:
-    return msg.agent + msg.area_image
-
-
-def decode_agent_transfer(raw: bytes) -> AgentTransfer:
-    agent = _agent_id(raw, "AgentTransfer")
-    return AgentTransfer(agent, raw[AGENT_ID_OCTETS:])
-
-
-def encode_route_log_entry(msg: RouteLogEntry) -> bytes:
+def encode_route_log_entry(msg: RouteLogEntry, params: CipherParams) -> bytes:
     return msg.agent + msg.host
 
 
-def decode_route_log_entry(raw: bytes) -> RouteLogEntry:
-    agent = _agent_id(raw, "RouteLogEntry")
-    if len(raw) != AGENT_ID_OCTETS + HOST_ID_OCTETS:
-        raise TruncatedError("RouteLogEntry: host id incomplete or trailing octets")
-    return RouteLogEntry(agent, raw[AGENT_ID_OCTETS:])
+def decode_route_log_entry(raw: bytes, params: CipherParams) -> RouteLogEntry:
+    read_exact(raw, AGENT_ID_OCTETS + HOST_ID_OCTETS, "RouteLogEntry")
+    return RouteLogEntry(raw[:AGENT_ID_OCTETS], raw[AGENT_ID_OCTETS:])
 
 
-def encode_route_query(msg: RouteQuery) -> bytes:
+def encode_agent_id(msg: RouteQuery | KeyRequest, params: CipherParams) -> bytes:
     return msg.agent
 
 
-def decode_route_query(raw: bytes) -> RouteQuery:
-    if len(raw) != AGENT_ID_OCTETS:
-        raise TruncatedError("RouteQuery: bad length")
-    return RouteQuery(raw)
+def decode_route_query(raw: bytes, params: CipherParams) -> RouteQuery:
+    return RouteQuery(read_exact(raw, AGENT_ID_OCTETS, "RouteQuery"))
 
 
-def encode_route_answer(msg: RouteAnswer) -> bytes:
-    return struct.pack(">I", len(msg.hosts)) + b"".join(msg.hosts)
+def decode_key_request(raw: bytes, params: CipherParams) -> KeyRequest:
+    return KeyRequest(read_exact(raw, AGENT_ID_OCTETS, "KeyRequest"))
 
 
-def decode_route_answer(raw: bytes) -> RouteAnswer:
-    if len(raw) < 4:
-        raise TruncatedError("RouteAnswer: count incomplete")
-    (count,) = struct.unpack_from(">I", raw, 0)
-    if len(raw) != 4 + count * HOST_ID_OCTETS:
-        raise TruncatedError("RouteAnswer: host list length mismatch")
-    hosts = tuple(
-        raw[4 + i * HOST_ID_OCTETS : 4 + (i + 1) * HOST_ID_OCTETS] for i in range(count)
-    )
-    return RouteAnswer(hosts)
+def _read_host(raw: bytes, offset: int) -> tuple[bytes, int]:
+    end = offset + HOST_ID_OCTETS
+    return read_exact(raw[offset:end], HOST_ID_OCTETS, "RouteAnswer host id"), end
 
 
-def encode_key_request(msg: KeyRequest) -> bytes:
-    return msg.agent
+def encode_route_answer(msg: RouteAnswer, params: CipherParams) -> bytes:
+    return write_counted(msg.hosts)
 
 
-def decode_key_request(raw: bytes) -> KeyRequest:
-    if len(raw) != AGENT_ID_OCTETS:
-        raise TruncatedError("KeyRequest: bad length")
-    return KeyRequest(raw)
+def decode_route_answer(raw: bytes, params: CipherParams) -> RouteAnswer:
+    return RouteAnswer(read_counted(raw, _read_host, "RouteAnswer"))
 
 
-def encode_key_response(msg: KeyResponse) -> bytes:
-    parts = [struct.pack(">I", len(msg.keys))]
-    parts.extend(encode_key(key) for key in msg.keys)
-    return b"".join(parts)
+def encode_key_response(msg: KeyResponse, params: CipherParams) -> bytes:
+    return write_counted([encode_key(key) for key in msg.keys])
 
 
-def decode_key_response(raw: bytes) -> KeyResponse:
-    if len(raw) < 4:
-        raise TruncatedError("KeyResponse: count incomplete")
-    (count,) = struct.unpack_from(">I", raw, 0)
-    offset = 4
-    keys = []
-    for _ in range(count):
-        key, offset = read_key(raw, offset)
-        keys.append(key)
-    if offset != len(raw):
-        raise TrailingGarbageError("KeyResponse: trailing octets")
-    return KeyResponse(tuple(keys))
+def decode_key_response(raw: bytes, params: CipherParams) -> KeyResponse:
+    return KeyResponse(read_counted(raw, read_key, "KeyResponse"))
 
 
-MESSAGE_CODECS: dict[type, tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {
-    AgentTransfer: ("agent_transfer", encode_agent_transfer, decode_agent_transfer),
+MESSAGE_CODECS: dict[type, tuple[str, Callable[..., bytes], Callable[..., Any]]] = {
+    AgentDataArea: ("agent_transfer", encode_agent_transfer, decode_agent_transfer),
     RouteLogEntry: ("route_log", encode_route_log_entry, decode_route_log_entry),
-    RouteQuery: ("route_query", encode_route_query, decode_route_query),
+    RouteQuery: ("route_query", encode_agent_id, decode_route_query),
     RouteAnswer: ("route_answer", encode_route_answer, decode_route_answer),
-    KeyRequest: ("key_request", encode_key_request, decode_key_request),
+    KeyRequest: ("key_request", encode_agent_id, decode_key_request),
     KeyResponse: ("key_response", encode_key_response, decode_key_response),
 }
 

@@ -44,11 +44,10 @@ from .cipher import (
     padded_octets,
     protect_register,
 )
-from .codec import AgentDataArea, decode_area, encode_area
+from .codec import AgentDataArea
 from .protocol import (
     MESSAGE_CODECS,
     AgentServerState,
-    AgentTransfer,
     KeyRequest,
     KeyResponse,
     PeerHostState,
@@ -120,6 +119,8 @@ class HostConfig:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run to simulate, validated whenever one is made (``replace`` too)."""
+
     params: CipherParams
     seed: int
     agent_server: str
@@ -129,6 +130,9 @@ class Scenario:
     channels: tuple[Channel, ...] = ()
     default_channel_security: ChannelSecurity = ChannelSecurity.SECURE
     policy_mode: str = "record"
+
+    def __post_init__(self):
+        validate_scenario(self)
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except ValueError:
         raise InvalidScenarioError("bad default_channel_security") from None
 
-    scenario = Scenario(
+    return Scenario(
         params=params,
         seed=_field(raw, "seed", int, 0),
         agent_server=_field(raw, "agent_server", str, ""),
@@ -301,8 +305,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         default_channel_security=default_security,
         policy_mode=raw.get("policy_mode", "record"),
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -347,10 +349,17 @@ def validate_scenario(scenario: Scenario) -> None:
     unknown = [label for label in scenario.route if label not in set(labels)]
     if unknown:
         raise InvalidScenarioError(f"route names unknown hosts: {unknown}")
+    listed = set()
     for ch in scenario.channels:
         for end in ch.endpoints:
             if end not in set(everyone):
                 raise InvalidScenarioError(f"channel endpoint {end!r} is not a participant")
+        a, b = sorted(ch.endpoints)
+        if a == b:
+            raise InvalidScenarioError(f"channel from {a!r} to itself")
+        if (a, b) in listed:
+            raise InvalidScenarioError(f"channel {a!r}-{b!r} listed twice")
+        listed.add((a, b))
 
 
 # --- channel policy ----------------------------------------------------------
@@ -451,7 +460,6 @@ def run_scenario(scenario: Scenario) -> SimReport:
     host and reconcile. Pure in everything but its own local state: the same
     scenario yields a bit-identical report.
     """
-    validate_scenario(scenario)
     params = scenario.params
     abort = scenario.policy_mode == "abort"
     master = random.Random(scenario.seed)
@@ -478,8 +486,8 @@ def run_scenario(scenario: Scenario) -> SimReport:
             if abort:
                 return None
         kind, encode, decode = MESSAGE_CODECS[type(message)]
-        raw = encode(message)
-        received = decode(raw)
+        raw = encode(message, params)
+        received = decode(raw, params)
         detail = {"octets": len(raw)}
         if isinstance(received, RouteAnswer):
             detail["hosts"] = [host_label(h) for h in received.hosts]
@@ -490,18 +498,13 @@ def run_scenario(scenario: Scenario) -> SimReport:
 
     area = server_dispatch(server, [host_id(label) for label in scenario.route])
     agent = area.agent
-    image = encode_area(area, params)
 
     carrier = scenario.agent_server
     for label in scenario.route:
-        transfer = deliver(carrier, label, AgentTransfer(agent, image))
-        area = decode_area(transfer.area_image, transfer.agent, params)
+        area = deliver(carrier, label, area)
         area = _apply_visit(hosts[label], area, rs_states, deliver, violations, params)
-        image = encode_area(area, params)
         carrier = label
-
-    transfer = deliver(carrier, scenario.agent_server, AgentTransfer(agent, image))
-    area = decode_area(transfer.area_image, transfer.agent, params)
+    area = deliver(carrier, scenario.agent_server, area)
 
     answers = []
     for label, rs in rs_states.items():

@@ -65,6 +65,19 @@ class TestRun:
             pytest.param(
                 {("hosts", 0, "id"): "alpha\x00", ("route", 0): "alpha\x00"}, id="host-id-with-nul"
             ),
+            pytest.param(
+                {
+                    ("channels",): [
+                        {"endpoints": ["alpha", "server"], "security": "secure"},
+                        {"endpoints": ["server", "alpha"], "security": "insecure"},
+                    ]
+                },
+                id="contradictory-channels",
+            ),
+            pytest.param(
+                {("channels",): [{"endpoints": ["beta", "beta"], "security": "insecure"}]},
+                id="channel-to-itself",
+            ),
         ],
     )
     def test_malformed_scenario_exits_one(self, changes, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-module-level function or class is referred to somewhere in the package.
+module-level function, class or constant is referred to somewhere in the
+package.
 
 Deletions tend to leave imports and dead definitions behind; this keeps them
 from piling up. ``__init__.py`` is exempt from both checks, since its imports
@@ -56,22 +57,33 @@ def referenced_names(tree: ast.AST) -> Counter:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes that nothing in ``sources`` but
-    ``__init__.py`` refers to outside their own definition; ``sources`` maps
-    file names to source text."""
+    """Module-level functions, classes and constants that nothing in
+    ``sources`` but ``__init__.py`` refers to outside their own statement;
+    ``sources`` maps file names to source text."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     referenced = sum(
         (referenced_names(tree) for name, tree in trees.items() if name != "__init__.py"),
         Counter(),
     )
     return [
-        f"{name}: {node.name}"
+        f"{name}: {defined}"
         for name, tree in trees.items()
         if name != "__init__.py"
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and referenced[node.name] == referenced_names(node)[node.name]
+        for defined in defined_names(node)
+        if referenced[defined] == referenced_names(node)[defined]
     ]
 
 
@@ -95,7 +107,18 @@ def test_detects_an_unreferenced_definition():
             "def by_attribute(): pass\n"
             "def recursive(): recursive()\n"
             "class Dead: pass\n"
+            "READ = 1\n"
+            "DEAD_CONSTANT = READ + 1\n"
+            "ANNOTATED: int = 3\n"
+            "USED, UNUSED = 1, 2\n"
+            "print(USED)\n"
         ),
-        "b.py": "import a\nfrom .a import imported\na.by_attribute()\n",
+        "b.py": "import a\nfrom .a import imported\na.by_attribute()\nprint(a.ANNOTATED)\n",
     }
-    assert unreferenced_definitions(sources) == ["a.py: exported", "a.py: recursive", "a.py: Dead"]
+    assert unreferenced_definitions(sources) == [
+        "a.py: exported",
+        "a.py: recursive",
+        "a.py: Dead",
+        "a.py: DEAD_CONSTANT",
+        "a.py: UNUSED",
+    ]

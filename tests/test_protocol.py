@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agentpad.cipher import (
     CipherParams,
@@ -12,10 +13,16 @@ from agentpad.cipher import (
     protect_register,
     required_key_octets,
 )
-from agentpad.codec import AgentDataArea, encode_register
+from agentpad.codec import (
+    AgentDataArea,
+    CodecError,
+    TrailingGarbageError,
+    TruncatedError,
+    encode_register,
+)
 from agentpad.protocol import (
+    MESSAGE_CODECS,
     AgentServerState,
-    AgentTransfer,
     DiscardReason,
     EmptyRouteError,
     KeyRequest,
@@ -32,12 +39,11 @@ from agentpad.protocol import (
     decode_route_answer,
     decode_route_log_entry,
     decode_route_query,
+    encode_agent_id,
     encode_agent_transfer,
-    encode_key_request,
     encode_key_response,
     encode_route_answer,
     encode_route_log_entry,
-    encode_route_query,
     host_handle_agent,
     host_id,
     host_label,
@@ -48,6 +54,7 @@ from agentpad.protocol import (
     server_dispatch,
     server_reconcile,
 )
+from agentpad.simulator import BehaviorProfile, HostConfig, Scenario, run_scenario
 from oracles import reconcile_reference
 
 P64 = CipherParams(64)
@@ -86,60 +93,166 @@ class TestHostIds:
 
 class TestMessageWire:
     def test_agent_transfer(self):
-        msg = AgentTransfer(AGENT, b"\x00\x00\x00\x00")
-        assert decode_agent_transfer(encode_agent_transfer(msg)) == msg
+        area = AgentDataArea(AGENT)
+        raw = encode_agent_transfer(area, P64)
+        assert raw == AGENT + b"\x00\x00\x00\x00"
+        assert decode_agent_transfer(raw, P64) == area
 
     def test_route_log_entry(self):
         msg = RouteLogEntry(AGENT, ALPHA)
-        raw = encode_route_log_entry(msg)
+        raw = encode_route_log_entry(msg, P64)
         assert len(raw) == 24
-        assert decode_route_log_entry(raw) == msg
+        assert decode_route_log_entry(raw, P64) == msg
 
     def test_route_query_and_answer(self):
-        assert decode_route_query(encode_route_query(RouteQuery(AGENT))) == RouteQuery(AGENT)
+        assert decode_route_query(encode_agent_id(RouteQuery(AGENT), P64), P64) == RouteQuery(AGENT)
         for hosts in ((), (ALPHA,), (ALPHA, BETA, ALPHA)):
             msg = RouteAnswer(hosts)
-            assert decode_route_answer(encode_route_answer(msg)) == msg
+            assert decode_route_answer(encode_route_answer(msg, P64), P64) == msg
 
     def test_key_request_and_response(self):
-        assert decode_key_request(encode_key_request(KeyRequest(AGENT))) == KeyRequest(AGENT)
+        assert decode_key_request(encode_agent_id(KeyRequest(AGENT), P64), P64) == KeyRequest(AGENT)
         rng = random.Random(1)
         keys = (
             make_key(rng, ProtectionMode.SIGNATURE, 0),
             make_key(rng, ProtectionMode.ENCRYPTION, 21),
         )
-        decoded = decode_key_response(encode_key_response(KeyResponse(keys)))
+        decoded = decode_key_response(encode_key_response(KeyResponse(keys), P64), P64)
         assert [k.bits for k in decoded.keys] == [k.bits for k in keys]
         assert [k.mode for k in decoded.keys] == [k.mode for k in keys]
-        assert decode_key_response(encode_key_response(KeyResponse(()))).keys == ()
+        assert decode_key_response(encode_key_response(KeyResponse(()), P64), P64).keys == ()
+
+
+class TestGoldenMessageImages:
+    """The exact octets of every message kind the bus carries in one fixed run.
+
+    alpha signs and idles on its revisit, beta encrypts and also surrenders a
+    bogus signature key, so the returned data area holds one register of each
+    mode, the route answer repeats a host, and beta's key response holds one
+    key of each mode. The images are recorded as the bus encodes them.
+    """
+
+    AGENT = "5bf82fcd810d1892c986af425861c27b"  # minted from seed 2024
+    # mode, length, data field, masked codeword, masked digest
+    SIGNED = "01" "00000006" "7369676e65640000" "16db4f8c3880ee86" "e8cb24c83ba60dec"
+    SEALED = "02" "00000006" "6499ced68ebdb65a" "0b95715825613667" "0f5488c028d8e17c"
+    ALPHA = "616c706861000000"
+    BETA = "6265746100000000"
+    ALPHA_KEY = "01" "00000080" "a7bca9e2497bf6da0e9d64c83c909b9a"
+    BETA_KEYS = (
+        "02" "000000c0" "07b2eed68d269d5162156e208931bffc6c7fa8c02b43ca77",
+        "01" "00000080" "2b0871477c2ea5ad46cf671942e96b28",
+    )
+
+    def test_every_message_kind_pinned(self, monkeypatch):
+        images = {}
+        for cls, (kind, encode, decode) in list(MESSAGE_CODECS.items()):
+
+            def recording(*args, kind=kind, encode=encode):
+                raw = encode(*args)
+                images.setdefault(kind, []).append(raw.hex())
+                return raw
+
+            monkeypatch.setitem(MESSAGE_CODECS, cls, (kind, recording, decode))
+        scenario = Scenario(
+            params=P64,
+            seed=2024,
+            agent_server="server",
+            route_servers=("rs",),
+            hosts=(
+                HostConfig("alpha", payload=b"signed", revisit="idle"),
+                HostConfig(
+                    "beta", BehaviorProfile("orphan_key"), b"sealed", ProtectionMode.ENCRYPTION
+                ),
+            ),
+            route=("alpha", "beta", "alpha"),
+        )
+        run_scenario(scenario)
+        agent, signed, sealed = self.AGENT, self.SIGNED, self.SEALED
+        assert images == {
+            "agent_transfer": [
+                agent + "00000000",
+                agent + "00000001" + signed,
+                agent + "00000002" + signed + sealed,
+                agent + "00000002" + signed + sealed,
+            ],
+            "route_log": [agent + self.ALPHA, agent + self.BETA, agent + self.ALPHA],
+            "route_query": [agent],
+            "route_answer": ["00000003" + self.ALPHA + self.BETA + self.ALPHA],
+            "key_request": [agent, agent],
+            "key_response": [
+                "00000001" + self.ALPHA_KEY,
+                "00000002" + "".join(self.BETA_KEYS),
+            ],
+        }
+
+
+def sample_messages():
+    """One value of every message kind, each list holding several items."""
+    rng = random.Random(5)
+    registers = (
+        protect_for(rng, b"signed")[0],
+        protect_for(rng, b"sealed", ProtectionMode.ENCRYPTION)[0],
+    )
+    keys = (make_key(rng, SIG, 0), make_key(rng, ProtectionMode.ENCRYPTION, 21))
+    return [
+        AgentDataArea(AGENT, registers),
+        RouteLogEntry(AGENT, ALPHA),
+        RouteQuery(AGENT),
+        RouteAnswer((ALPHA, BETA, ALPHA)),
+        KeyRequest(AGENT),
+        KeyResponse(keys),
+    ]
+
+
+SAMPLES = sample_messages()
+
+
+@st.composite
+def mutated_images(draw):
+    """Random octets, or a valid image with bits flipped, cut short or extended."""
+    msg = draw(st.sampled_from(SAMPLES))
+    raw = bytearray(MESSAGE_CODECS[type(msg)][1](msg, P64))
+    how = draw(st.sampled_from(("random", "flip", "truncate", "append")))
+    if how == "random":
+        return draw(st.binary(max_size=100))
+    if how == "flip":
+        for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3)):
+            raw[bit // 8] ^= 0x80 >> bit % 8
+        return bytes(raw)
+    if how == "truncate":
+        return bytes(raw[: draw(st.integers(0, len(raw)))])
+    return bytes(raw) + draw(st.binary(min_size=1, max_size=12))
 
 
 class TestMessageDecodeRobustness:
-    """Arbitrary octets either decode or fail with a CodecError, never worse."""
+    """Every decoder in ``MESSAGE_CODECS`` is total and exact: any octets
+    either fail with a CodecError or decode to a value that re-encodes to
+    those very octets."""
 
-    def test_fuzzed_decoders(self):
-        from agentpad.codec import CodecError
-        from hypothesis import given, settings, strategies as st
+    def test_samples_cover_the_table(self):
+        assert [type(msg) for msg in SAMPLES] == list(MESSAGE_CODECS)
 
-        decoders = (
-            decode_agent_transfer,
-            decode_route_log_entry,
-            decode_route_query,
-            decode_route_answer,
-            decode_key_request,
-            decode_key_response,
-        )
+    @pytest.mark.parametrize("msg", SAMPLES, ids=lambda msg: type(msg).__name__)
+    def test_round_trip_and_exact_length(self, msg):
+        _, encode, decode = MESSAGE_CODECS[type(msg)]
+        raw = encode(msg, P64)
+        assert decode(raw, P64) == msg
+        for end in range(len(raw)):
+            with pytest.raises(TruncatedError):
+                decode(raw[:end], P64)
+        with pytest.raises(TrailingGarbageError):
+            decode(raw + b"\x00", P64)
 
-        @given(st.binary(max_size=100))
-        @settings(max_examples=300)
-        def fuzz(raw):
-            for decode in decoders:
-                try:
-                    decode(raw)
-                except CodecError:
-                    pass
-
-        fuzz()
+    @given(mutated_images(), st.sampled_from([CipherParams(8), P64]))
+    @settings(max_examples=600)
+    def test_fuzzed_decoders(self, raw, params):
+        for _, encode, decode in MESSAGE_CODECS.values():
+            try:
+                value = decode(raw, params)
+            except CodecError:
+                continue
+            assert encode(value, params) == raw
 
 
 class TestRouteServer:

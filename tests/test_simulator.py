@@ -13,7 +13,6 @@ from agentpad.cipher import CipherParams, OneTimeKey, ProtectionMode
 from agentpad.codec import AgentDataArea
 from agentpad.protocol import (
     MESSAGE_CODECS,
-    AgentTransfer,
     DiscardReason,
     Verdict,
     decode_agent_transfer,
@@ -82,6 +81,19 @@ class TestScenarioLoading:
             {"hosts": [{"id": "alpha", "behavior": {"profile": "erase_foreign"}}], "route": ["alpha"]},
             {"channels": [{"endpoints": ["alpha", "nobody"], "security": "secure"}]},
             {"channels": [{"endpoints": ["alpha", "server"], "security": "leaky"}]},
+            {"channels": [{"endpoints": ["alpha", "alpha"], "security": "secure"}]},
+            {
+                "channels": [
+                    {"endpoints": ["alpha", "server"], "security": "secure"},
+                    {"endpoints": ["server", "alpha"], "security": "insecure"},
+                ]
+            },
+            {
+                "channels": [
+                    {"endpoints": ["alpha", "server"], "security": "insecure"},
+                    {"endpoints": ["alpha", "server"], "security": "insecure"},
+                ]
+            },
         ],
     )
     def test_invalid_scenarios_rejected(self, overrides):
@@ -241,13 +253,13 @@ class TestAdversaries:
     def test_brainwash_revisit_forwards_bit_identical_bytes(self, monkeypatch):
         images = []
 
-        def capture(msg):
-            raw = encode_agent_transfer(msg)
+        def capture(area, params):
+            raw = encode_agent_transfer(area, params)
             images.append(raw)
             return raw
 
         monkeypatch.setitem(
-            MESSAGE_CODECS, AgentTransfer, ("agent_transfer", capture, decode_agent_transfer)
+            MESSAGE_CODECS, AgentDataArea, ("agent_transfer", capture, decode_agent_transfer)
         )
         report = run_scenario(load_scenario(SCENARIO_DIR / "brainwash.json"))
         senders = [e.src for e in report.trace if e.kind == "agent_transfer"]
@@ -347,8 +359,8 @@ class TestRouteLogging:
 class TestWire:
     def test_receivers_act_on_the_decoded_message(self, monkeypatch):
         # an encoder that loses the last key must change what the server sees
-        def lossy(msg):
-            return encode_key_response(KeyResponse(msg.keys[:-1]))
+        def lossy(msg, params):
+            return encode_key_response(KeyResponse(msg.keys[:-1]), params)
 
         monkeypatch.setitem(
             MESSAGE_CODECS, KeyResponse, ("key_response", lossy, decode_key_response)
