@@ -16,11 +16,13 @@ replay the identical schedule.
 
 Every codeword state is the codeword rotated right by a running offset in
 Z_W, so the schedule is a walk on at most W states: a preperiod of mu
-blocks, then a cycle of lam blocks, with mu + lam <= W. Past W blocks the
-digest XORs in the mu leading blocks one by one, XOR-folds the rest per cycle
-phase, and rotates only the lam folds; encryption-mode rotation works on the
-packed data once per distinct rotation amount. Up to W blocks are walked
-state by state.
+blocks, then a cycle of lam blocks, with mu + lam <= W. Past a switch point
+per width, set by timing the two paths, the digest XORs in the mu leading
+blocks one by one, XOR-folds the rest per cycle phase, and rotates only the
+lam folds; encryption-mode rotation rotates the mu leading blocks one by one
+and all blocks of each cycle phase together, so it passes over the data about
+once however many rotation amounts the codeword has. Shorter registers, and
+those whose walk closes no cycle, are walked state by state.
 
 In encryption mode the stored blocks are the rotated ones, and derotation
 undoes each rotation exactly, so the digest of the derotated blocks equals
@@ -38,6 +40,7 @@ consumes the key; protecting with it does.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -46,6 +49,17 @@ from typing import Iterable, Iterator
 VALID_WIDTHS = (8, 16, 32, 64)
 
 MAX_KEY_ATTEMPTS = 128
+
+# The array typecode whose items are one block wide, per block size in
+# octets. C type sizes vary by platform, so the code is chosen by itemsize.
+_WORD_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
+
+# The longest register, in blocks, that each kernel walks state by state, per
+# width W; longer ones take the period-folded path once their schedule closes
+# a cycle. Each is the largest block count at which the straight walk was
+# still as fast as the folded path, by paired timing over random codewords.
+_DIGEST_WALK = {8: 10, 16: 6, 32: 8, 64: 11}
+_ROTATE_WALK = {8: 13, 16: 10, 32: 10, 64: 18}
 
 
 class CipherError(Exception):
@@ -206,27 +220,28 @@ def split_into_blocks(data: bytes, params: CipherParams) -> list[int]:
     return [int.from_bytes(data[i : i + bb], "big") for i in range(0, len(data), bb)]
 
 
-def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
+def _schedule(cw: int, n: int, params: CipherParams, walk: int) -> tuple[list[int], int]:
     """Codeword states of the schedule for n blocks, folded by its period.
 
     Block i is rotated left by the low r bits of its state. Returns
     ``(states, mu)``: block i < mu takes ``states[i]``. When ``states`` is
     longer than mu, the walk has closed a cycle of ``lam = len(states) - mu``
-    states and block i >= mu takes ``states[mu + (i - mu) % lam]``. Up to W
-    blocks are walked state by state (mu = n). Longer sequences are walked
-    until a state repeats, which happens within W + 1 steps: every state is
-    a rotation of cw, and a W-bit word has at most W of them.
+    states and block i >= mu takes ``states[mu + (i - mu) % lam]``, with
+    mu + lam < n. Up to ``walk`` blocks are walked state by state (mu = n).
+    Longer sequences are walked until a state repeats or n states are
+    known. Past W blocks a state always repeats, within W + 1 steps: every
+    state is a rotation of cw, and a W-bit word has at most W of them.
     """
     w = params.block_width_bits
     mask = params.word_mask
     top = w - params.rotation_field_bits
-    cycle = n > w
+    cycle = n > walk
     first: dict[int, int] = {}  # state -> index of its first visit
     states = []
     c = cw
-    for i in range(w + 1 if cycle else n):
+    for i in range(min(n, w + 1) if cycle else n):
         if cycle:
-            if c in first:  # reached by step W at the latest
+            if c in first:
                 return states, first[c]
             first[c] = i
         states.append(c)
@@ -249,12 +264,6 @@ def _fold(x: int, chunks: int, chunk_bits: int) -> int:
     return x
 
 
-def _xor_fold(data: bytes, params: CipherParams) -> int:
-    """Plain XOR of the W-bit blocks of whole-block ``data``."""
-    x = int.from_bytes(data, "big")
-    return _fold(x, len(data) // params.block_bytes, params.block_width_bits)
-
-
 def _digest(data: bytes, cw: int, params: CipherParams) -> int:
     """Schedule digest of whole-block ``data``.
 
@@ -266,7 +275,7 @@ def _digest(data: bytes, cw: int, params: CipherParams) -> int:
     mask = params.word_mask
     low = w - 1
     n = len(data) // bb
-    states, mu = _schedule(cw, n, params)
+    states, mu = _schedule(cw, n, params, _DIGEST_WALK[w])
     mfd = 0
     for b, c in zip(split_into_blocks(data[: mu * bb], params), states):
         l = c & low
@@ -285,37 +294,45 @@ def _digest(data: bytes, cw: int, params: CipherParams) -> int:
 def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -> bytes:
     """Rotate each block of whole-block ``data`` by its schedule amount.
 
-    Left for protection, right (``inverse``) for recovery. Past W blocks the
-    data is rotated as one packed integer, once per distinct amount: a
-    periodic mask selects the words with that amount, and one shift each way
-    rotates all of them.
+    Left for protection, right (``inverse``) for recovery. The mu blocks
+    before the cycle are rotated one by one. Each cycle phase's blocks, the
+    word slice ``[mu + q::lam]``, share one amount, so they are gathered into
+    one integer and rotated together: one shift each way, with a mask built
+    from the low bit of every word. Only whole words move through the array,
+    so the host's byte order never matters.
     """
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
     low = w - 1
     n = len(data) // bb
-    states, mu = _schedule(cw, n, params)
-    # right by l is left by W - l, and left by W is the identity
-    rots = [w - (c & low) for c in states] if inverse else [c & low for c in states]
+    states, mu = _schedule(cw, n, params, _ROTATE_WALK[w])
+    # right by l is left by (W - l) mod W
+    rots = [-c & low for c in states] if inverse else [c & low for c in states]
+    out = 0
+    for b, l in zip(split_into_blocks(data[: mu * bb], params), rots):
+        out = (out << w) | ((b << l) | (b >> (w - l))) & mask
+    head = out.to_bytes(mu * bb, "big")
     lam = len(rots) - mu
     if not lam:
-        out = 0
-        for b, l in zip(split_into_blocks(data, params), rots):
-            out = (out << w) | ((b << l) | (b >> (w - l))) & mask
-        return out.to_bytes(len(data), "big")
-    x = int.from_bytes(data, "big")
-    unit, zero = (1).to_bytes(bb, "big"), bytes(bb)
-    cycles = -(-(n - mu) // lam)
-    excess = (mu + cycles * lam - n) * w
-    out = 0
-    for a in set(rots):
-        flags = [unit if l == a else zero for l in rots]
-        ones = b"".join(flags[:mu]) + b"".join(flags[mu:]) * cycles
-        sel = int.from_bytes(ones, "big") >> excess  # the low bit of every selected word
-        lo = sel * ((1 << a) - 1)  # the low a bits of every selected word; sel * mask ^ lo the rest
-        out |= ((x << a) & (sel * mask ^ lo)) | ((x >> (w - a)) & lo)
-    return out.to_bytes(len(data), "big")
+        return head
+    tc = _WORD_TYPECODES[bb]
+    words = array(tc, data[mu * bb :])
+    unit = (1).to_bytes(bb, "big")
+    sels: dict[int, int] = {}  # phase word count -> the low bit of each word
+    for q, a in enumerate(rots[mu:]):
+        if not a:
+            continue
+        phase = words[q::lam]
+        k = len(phase)
+        sel = sels.get(k)
+        if sel is None:
+            sel = sels[k] = int.from_bytes(unit * k, "big")
+        x = int.from_bytes(phase.tobytes(), "big")
+        wrap = (x >> (w - a)) & (sel * ((1 << a) - 1))  # each word's top a bits, moved low
+        x = ((x << a) ^ (wrap << w)) | wrap  # the shift's carries into the next word cancel
+        words[q::lam] = array(tc, x.to_bytes(k * bb, "big"))
+    return head + words.tobytes()
 
 
 def _padded(data: bytes, params: CipherParams) -> bytes:
@@ -358,9 +375,10 @@ def protect_register(
         mfd = _digest(padded, cw, params)
         data_field = padded
     else:
-        rotated = _rotate(padded, cw, params)
-        mfd = _xor_fold(rotated, params)
-        data_field = _xor(rotated, key.bits[: len(rotated)])
+        size = len(padded)
+        rotated = int.from_bytes(_rotate(padded, cw, params), "big")
+        mfd = _fold(rotated, size // bb, params.block_width_bits)
+        data_field = (rotated ^ int.from_bytes(key.bits[:size], "big")).to_bytes(size, "big")
 
     cw_mask = int.from_bytes(key.bits[-2 * bb : -bb], "big")
     mfd_mask = int.from_bytes(key.bits[-bb:], "big")
@@ -401,11 +419,17 @@ def check_register(
 
     # The digest of the derotated blocks is the plain XOR fold of the
     # unmasked ones (each derotation undoes its rotation), so only the
-    # recovered plaintext needs the schedule.
-    unmasked = _padded(_xor(reg.data_field, key.bits[: len(reg.data_field)]), params)
-    if _xor_fold(unmasked, params) != claimed:
+    # recovered plaintext needs the schedule. A short data field is
+    # zero-padded after unmasking, as _padded would pad it.
+    size = len(reg.data_field)
+    short = -size % bb
+    unmasked = (
+        int.from_bytes(reg.data_field, "big") ^ int.from_bytes(key.bits[:size], "big")
+    ) << (8 * short)
+    size += short
+    if _fold(unmasked, size // bb, params.block_width_bits) != claimed:
         return _DIGEST_REJECT
-    plain = _rotate(unmasked, cw, params, inverse=True)
+    plain = _rotate(unmasked.to_bytes(size, "big"), cw, params, inverse=True)
     if any(plain[reg.length :]):
         return _PADDING_REJECT
     return CheckResult(True, CheckReason.OK, plain[: reg.length])

@@ -81,8 +81,14 @@ class ChannelSecurity(Enum):
 
 @dataclass(frozen=True)
 class Channel:
+    """A link between two participants; its endpoints are kept sorted."""
+
     endpoints: tuple[str, str]
     security: ChannelSecurity
+
+    def __post_init__(self):
+        a, b = self.endpoints
+        object.__setattr__(self, "endpoints", (b, a) if b < a else (a, b))
 
 
 HONEST = "honest"
@@ -287,7 +293,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             security = ChannelSecurity(c["security"])
         except ValueError:
             raise InvalidScenarioError(f"{where}: bad security {c['security']!r}") from None
-        channels.append(Channel(tuple(sorted(endpoints)), security))
+        channels.append(Channel(tuple(endpoints), security))
 
     try:
         default_security = ChannelSecurity(raw.get("default_channel_security", "secure"))
@@ -354,7 +360,7 @@ def validate_scenario(scenario: Scenario) -> None:
         for end in ch.endpoints:
             if end not in set(everyone):
                 raise InvalidScenarioError(f"channel endpoint {end!r} is not a participant")
-        a, b = sorted(ch.endpoints)
+        a, b = ch.endpoints
         if a == b:
             raise InvalidScenarioError(f"channel from {a!r} to itself")
         if (a, b) in listed:
@@ -366,7 +372,7 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def channel_between(scenario: Scenario, a: str, b: str) -> Channel:
-    ends = tuple(sorted((a, b)))
+    ends = (a, b) if a < b else (b, a)  # the order Channel keeps
     for ch in scenario.channels:
         if ch.endpoints == ends:
             return ch

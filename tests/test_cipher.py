@@ -2,6 +2,7 @@
 
 import json
 import random
+from array import array
 from dataclasses import replace
 from functools import reduce
 from operator import xor
@@ -21,7 +22,11 @@ from agentpad.cipher import (
     ProtectionMode,
     Register,
     WidthTooLargeError,
+    _DIGEST_WALK,
+    _ROTATE_WALK,
+    _WORD_TYPECODES,
     _digest,
+    _rotate,
     _valid_signature_keys,
     check_register,
     enumerate_valid_signature_keys,
@@ -33,6 +38,7 @@ from agentpad.cipher import (
 )
 from agentpad.codec import encode_register, read_register
 from oracles import (
+    derotated_blocks_reference,
     digest_reference,
     protect_reference,
     rotated_blocks_reference,
@@ -58,6 +64,20 @@ def symmetric_codewords(width):
         int.from_bytes(b"\x01" * octets, "big"),
         int.from_bytes(b"\x55" * octets, "big"),
     ]
+
+
+def schedule_shape(cw, width):
+    """(mu, lam, left rotation of each state) of a codeword's schedule, by a straight walk."""
+    r = width.bit_length() - 1
+    first = {}
+    states = []
+    c = cw
+    while c not in first:
+        first[c] = len(states)
+        states.append(c)
+        c = rotr_bits(c, c >> (width - r), width)
+    mu = first[c]
+    return mu, len(states) - mu, [s & (width - 1) for s in states]
 
 
 @st.composite
@@ -231,6 +251,70 @@ class TestScheduleKernel:
         for cw in symmetric_codewords(width):
             assert _digest(packed(blocks, params), cw, params) == digest_reference(blocks, cw, width)
         assert _digest(packed(blocks, params), 0, params) == reduce(xor, blocks, 0)
+
+
+class TestPhaseRotation:
+    """The per-phase rotation path at the benchmark's 64 KiB, and the kernels' switch points."""
+
+    CASES = ("preperiod", "one_phase", "partial_cycle", "zero_phase")
+
+    @staticmethod
+    def codeword_for(case, width, n):
+        """A codeword whose n-block schedule shows ``case``, found by a seeded search."""
+        if case == "one_phase":
+            return (1 << width) - 1  # a fixed point rotated by W - 1
+        rng = random.Random(width)
+        for _ in range(10_000):
+            cw = rng.getrandbits(width)
+            mu, lam, amounts = schedule_shape(cw, width)
+            if case == "preperiod" and mu > 0 and any(amounts[:mu]):
+                return cw
+            if case == "partial_cycle" and lam > 1 and (n - mu) % lam:
+                return cw
+            if case == "zero_phase" and 0 in amounts[mu:] and any(amounts[mu:]):
+                return cw
+        raise AssertionError(f"no {case} codeword at width {width}")
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_matches_oracles_on_64_kib(self, width, case):
+        params = CipherParams(width)
+        data = random.Random(case).randbytes(64 * 1024)
+        blocks = split_reference(data, width)
+        cw = self.codeword_for(case, width, len(blocks))
+        assert _rotate(data, cw, params) == packed(rotated_blocks_reference(blocks, cw, width), params)
+        assert _rotate(data, cw, params, inverse=True) == packed(
+            derotated_blocks_reference(blocks, cw, width), params
+        )
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_kernels_match_oracles_around_their_switch(self, width):
+        params = CipherParams(width)
+        rng = random.Random(width)
+        codewords = symmetric_codewords(width) + [rng.getrandbits(width) for _ in range(20)]
+        for walk in (_DIGEST_WALK[width], _ROTATE_WALK[width]):
+            for n in range(max(walk - 1, 0), walk + 2):
+                blocks = [rng.getrandbits(width) for _ in range(n)]
+                data = packed(blocks, params)
+                for cw in codewords:
+                    assert _digest(data, cw, params) == digest_reference(blocks, cw, width)
+                    rotated = packed(rotated_blocks_reference(blocks, cw, width), params)
+                    assert _rotate(data, cw, params) == rotated
+                    assert _rotate(rotated, cw, params, inverse=True) == data
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_word_array_round_trips_the_octets(self, width):
+        params = CipherParams(width)
+        code = _WORD_TYPECODES[params.block_bytes]
+        assert array(code).itemsize == params.block_bytes
+        data = random.Random(width).randbytes(37 * params.block_bytes)
+        words = array(code, data)
+        for q in range(5):
+            phase = words[q::5]
+            x = int.from_bytes(phase.tobytes(), "big")
+            words[q::5] = array(code, x.to_bytes(len(phase) * params.block_bytes, "big"))
+        assert words.tobytes() == data
+        assert words[1:2].tobytes() == data[params.block_bytes : 2 * params.block_bytes]
 
 
 class TestProtect:

@@ -433,6 +433,18 @@ class TestChannelPolicy:
 
         assert enforce_channel_policy(RouteLogEntry(bytes(16), bytes(8)), self.insecure()) is None
 
+    def test_channel_endpoint_order_does_not_matter(self):
+        honest = load_scenario(SCENARIO_DIR / "honest.json")
+        violations = []
+        for ends in (("server", "beta"), ("beta", "server")):
+            channel = Channel(ends, ChannelSecurity.INSECURE)
+            assert channel.endpoints == ("beta", "server")
+            report = run_scenario(replace(honest, channels=(channel,)))
+            violations.append(report.policy_violations)
+        assert violations[0] == violations[1]
+        assert [v["kind"] for v in violations[0]] == ["insecure_key_transfer"]
+        assert violations[0][0]["channel"] == ["beta", "server"]
+
     def test_record_mode_delivers_and_records(self):
         report = run_scenario(load_scenario(SCENARIO_DIR / "insecure_channel.json"))
         assert report.verification.verdict is Verdict.ACCEPT
