@@ -87,8 +87,10 @@ class Channel:
     security: ChannelSecurity
 
     def __post_init__(self):
-        a, b = self.endpoints
-        object.__setattr__(self, "endpoints", (b, a) if b < a else (a, b))
+        # a pair of strings is put in order; validate_scenario names other endpoints
+        ends = self.endpoints
+        if type(ends) is tuple and len(ends) == 2 and type(ends[0]) is type(ends[1]) is str:
+            object.__setattr__(self, "endpoints", (ends[1], ends[0]) if ends[1] < ends[0] else ends)
 
 
 HONEST = "honest"
@@ -101,6 +103,7 @@ KEY_REUSE = "key_reuse"
 PROFILE_KINDS = (HONEST, COUNTERFEIT, ERASE_FOREIGN, BRAINWASH_REPLAY, ORPHAN_KEY, KEY_REUSE)
 
 MODE_WORDS = {"sign": ProtectionMode.SIGNATURE, "encrypt": ProtectionMode.ENCRYPTION}
+SECURITY_WORDS = {security.value: security for security in ChannelSecurity}
 REVISIT_ACTIONS = ("edit", "remove", "append", "idle")
 POLICY_MODES = ("record", "abort")
 
@@ -184,33 +187,46 @@ class SimReport:
 # --- scenario files ----------------------------------------------------------
 
 
-_JSON_TYPES = {
-    bool: "a boolean", int: "an integer", float: "a number",
-    str: "a string", list: "an array", dict: "an object", type(None): "null",
+_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "an array",
+    dict: "an object", type(None): "null", tuple: "a tuple", bytes: "octets",
 }
 
 
-def _type_error(value, kind: type, name: str) -> InvalidScenarioError:
-    got = _JSON_TYPES.get(type(value), type(value).__name__)
-    return InvalidScenarioError(f"{name} must be {_JSON_TYPES[kind]}, got {got}")
-
-
-def _field(raw: dict, key: str, kind: type, default, where: str = ""):
-    """``raw[key]`` or ``default`` when absent, of JSON type ``kind``; a field
-    whose default is None may also be null."""
-    value = raw.get(key, default)
-    if type(value) is not kind and not (value is None and default is None):
-        raise _type_error(value, kind, where + key)
+def _check(value, kind: type, where: str, optional: bool = False):
+    """``value`` if its type is exactly ``kind``, or it is None and ``optional``."""
+    if type(value) is not kind and not (optional and value is None):
+        expected = _TYPE_NAMES.get(kind, kind.__name__)
+        got = _TYPE_NAMES.get(type(value), type(value).__name__)
+        raise InvalidScenarioError(f"{where} must be {expected}, got {got}")
     return value
 
 
-def _array(raw: dict, key: str, kind: type, where: str = "") -> list:
-    """``raw[key]``, an array (empty when absent) of JSON type ``kind`` items."""
-    items = _field(raw, key, list, [], where)
-    for i, item in enumerate(items):
-        if type(item) is not kind:
-            raise _type_error(item, kind, f"{where}{key}[{i}]")
-    return items
+def _one_of(value, words, where: str) -> str:
+    """``value``, refused unless it is one of the strings in ``words``."""
+    if type(value) is not str or value not in words:
+        raise InvalidScenarioError(f"{where} must be one of {', '.join(words)}, got {value!r}")
+    return value
+
+
+def _label(value, where: str) -> None:
+    try:
+        host_id(_check(value, str, where))
+    except ValueError as exc:
+        raise InvalidScenarioError(f"{where}: {exc}") from None
+
+
+def _object(value, where: str, keys: tuple[str, ...]) -> dict:
+    """``value``, refused unless it is an object with no keys but ``keys``."""
+    extra = set(_check(value, dict, where)) - set(keys)
+    if extra:
+        raise InvalidScenarioError(f"{where}: unknown keys {sorted(extra)}")
+    return value
+
+
+def _array(raw: dict, key: str, where: str = "") -> tuple:
+    """``raw[key]``, an array (empty when absent), as a tuple."""
+    return tuple(_check(raw.get(key, []), list, where + key))
 
 
 def _hex_or_none(value, where: str) -> bytes | None:
@@ -222,93 +238,54 @@ def _hex_or_none(value, where: str) -> bytes | None:
         raise InvalidScenarioError(f"{where}: expected hex octets, got {value!r}") from None
 
 
-def _behavior_from_dict(raw: dict, where: str) -> BehaviorProfile:
-    extra = set(raw) - {"profile", "target_index", "forged_payload"}
-    if extra:
-        raise InvalidScenarioError(f"{where}: unknown behavior keys {sorted(extra)}")
-    kind = raw.get("profile", HONEST)
-    if kind not in PROFILE_KINDS:
-        raise InvalidScenarioError(f"{where}: unknown profile {kind!r}")
-    profile = BehaviorProfile(
-        kind,
-        _field(raw, "target_index", int, None, f"{where}."),
-        _hex_or_none(raw.get("forged_payload"), f"{where}.forged_payload"),
-    )
-    if kind == COUNTERFEIT and (profile.target_index is None or profile.forged_payload is None):
-        raise InvalidScenarioError(f"{where}: counterfeit needs target_index and forged_payload")
-    if kind == ERASE_FOREIGN and profile.target_index is None:
-        raise InvalidScenarioError(f"{where}: erase_foreign needs target_index")
-    return profile
-
-
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build and validate a Scenario from its JSON form.
+    """Build a Scenario from its JSON form; making it validates it.
 
-    Fields are type-checked as they are read, so a malformed scenario
-    raises InvalidScenarioError and nothing else.
+    The document is walked only as far as building needs: objects, arrays,
+    known keys, hex octets and the mode and security words. Every other rule
+    is validate_scenario's, so a malformed document raises
+    InvalidScenarioError and nothing else.
     """
-    known = {
+    _object(raw, "scenario", (
         "params", "seed", "agent_server", "route_servers", "hosts", "route",
         "channels", "default_channel_security", "policy_mode",
-    }
-    extra = set(raw) - known
-    if extra:
-        raise InvalidScenarioError(f"unknown scenario keys {sorted(extra)}")
+    ))
     try:
-        params = CipherParams(**_field(raw, "params", dict, {}))
+        params = CipherParams(**_check(raw.get("params", {}), dict, "params"))
     except (TypeError, ValueError) as exc:
         raise InvalidScenarioError(f"bad params: {exc}") from None
 
     hosts = []
-    for i, h in enumerate(_array(raw, "hosts", dict)):
+    for i, h in enumerate(_array(raw, "hosts")):
         where = f"hosts[{i}]"
-        extra = set(h) - {"id", "behavior", "payload", "mode", "revisit"}
-        if extra:
-            raise InvalidScenarioError(f"{where}: unknown keys {sorted(extra)}")
-        if "id" not in h:
-            raise InvalidScenarioError(f"{where}: missing id")
-        mode = _field(h, "mode", str, "sign", f"{where}.")
-        if mode not in MODE_WORDS:
-            raise InvalidScenarioError(f"{where}: mode must be sign or encrypt")
-        revisit = h.get("revisit", "edit")
-        if revisit not in REVISIT_ACTIONS:
-            raise InvalidScenarioError(f"{where}: revisit must be one of {REVISIT_ACTIONS}")
-        hosts.append(
-            HostConfig(
-                _field(h, "id", str, "", f"{where}."),
-                _behavior_from_dict(_field(h, "behavior", dict, {}, f"{where}."), f"{where}.behavior"),
-                _hex_or_none(h.get("payload"), f"{where}.payload"),
-                MODE_WORDS[mode],
-                revisit,
-            )
-        )
+        _object(h, where, ("id", "behavior", "payload", "mode", "revisit"))
+        mode = MODE_WORDS[_one_of(h.get("mode", "sign"), MODE_WORDS, f"{where}.mode")]
+        payload = _hex_or_none(h.get("payload"), f"{where}.payload")
+        where += ".behavior"
+        b = _object(h.get("behavior", {}), where, ("profile", "target_index", "forged_payload"))
+        forged = _hex_or_none(b.get("forged_payload"), f"{where}.forged_payload")
+        behavior = BehaviorProfile(b.get("profile", HONEST), b.get("target_index"), forged)
+        hosts.append(HostConfig(h.get("id"), behavior, payload, mode, h.get("revisit", "edit")))
 
     channels = []
-    for i, c in enumerate(_array(raw, "channels", dict)):
+    for i, c in enumerate(_array(raw, "channels")):
         where = f"channels[{i}]"
-        endpoints = _array(c, "endpoints", str, f"{where}.")
-        if set(c) != {"endpoints", "security"} or len(endpoints) != 2:
-            raise InvalidScenarioError(f"{where}: need endpoints [a, b] and security")
-        try:
-            security = ChannelSecurity(c["security"])
-        except ValueError:
-            raise InvalidScenarioError(f"{where}: bad security {c['security']!r}") from None
-        channels.append(Channel(tuple(endpoints), security))
+        _object(c, where, ("endpoints", "security"))
+        security = _one_of(c.get("security"), SECURITY_WORDS, f"{where}.security")
+        channels.append(Channel(_array(c, "endpoints", f"{where}."), SECURITY_WORDS[security]))
 
-    try:
-        default_security = ChannelSecurity(raw.get("default_channel_security", "secure"))
-    except ValueError:
-        raise InvalidScenarioError("bad default_channel_security") from None
-
+    default_security = _one_of(
+        raw.get("default_channel_security", "secure"), SECURITY_WORDS, "default_channel_security"
+    )
     return Scenario(
         params=params,
-        seed=_field(raw, "seed", int, 0),
-        agent_server=_field(raw, "agent_server", str, ""),
-        route_servers=tuple(_array(raw, "route_servers", str)),
+        seed=raw.get("seed", 0),
+        agent_server=raw.get("agent_server", ""),
+        route_servers=_array(raw, "route_servers"),
         hosts=tuple(hosts),
-        route=tuple(_array(raw, "route", str)),
+        route=_array(raw, "route"),
         channels=tuple(channels),
-        default_channel_security=default_security,
+        default_channel_security=SECURITY_WORDS[default_security],
         policy_mode=raw.get("policy_mode", "record"),
     )
 
@@ -328,44 +305,66 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    if not 0 <= scenario.seed < 2**64:
+    """Refuse a scenario that a run could not play out as written.
+
+    Every value a run reads must have its exact type, and every per-host and
+    cross-field rule must hold. The error names the path of the field at
+    fault, as in ``hosts[1].behavior.target_index``.
+    """
+    _check(scenario.params, CipherParams, "params")
+    if not 0 <= _check(scenario.seed, int, "seed") < 2**64:
         raise InvalidScenarioError("seed must fit in 64 bits")
-    if scenario.policy_mode not in POLICY_MODES:
-        raise InvalidScenarioError(f"policy_mode must be one of {POLICY_MODES}")
-    if not scenario.agent_server:
-        raise InvalidScenarioError("agent_server is required")
-    if not scenario.route_servers:
-        raise InvalidScenarioError("at least one route server is required")
-    if not scenario.route:
-        raise InvalidScenarioError("route must not be empty")
-    if not scenario.hosts:
-        raise InvalidScenarioError("at least one host is required")
+    _one_of(scenario.policy_mode, POLICY_MODES, "policy_mode")
+    _check(scenario.default_channel_security, ChannelSecurity, "default_channel_security")
+    _label(scenario.agent_server, "agent_server")
+    for name in ("route_servers", "hosts", "route"):
+        if not _check(getattr(scenario, name), tuple, name):
+            raise InvalidScenarioError(f"{name} must not be empty")
+    for i, label in enumerate(scenario.route_servers):
+        _label(label, f"route_servers[{i}]")
+
+    for i, cfg in enumerate(scenario.hosts):
+        where = f"hosts[{i}]"
+        _check(cfg, HostConfig, where)
+        _label(cfg.id, f"{where}.id")
+        _check(cfg.payload, bytes, f"{where}.payload", optional=True)
+        _check(cfg.mode, ProtectionMode, f"{where}.mode")
+        _one_of(cfg.revisit, REVISIT_ACTIONS, f"{where}.revisit")
+        where += ".behavior"
+        profile = _check(cfg.behavior, BehaviorProfile, where)
+        kind = _one_of(profile.kind, PROFILE_KINDS, f"{where}.profile")
+        target = _check(profile.target_index, int, f"{where}.target_index", optional=True)
+        forged = _check(profile.forged_payload, bytes, f"{where}.forged_payload", optional=True)
+        if kind == COUNTERFEIT and (target is None or forged is None):
+            raise InvalidScenarioError(f"{where}: counterfeit needs target_index and forged_payload")
+        if kind == ERASE_FOREIGN and target is None:
+            raise InvalidScenarioError(f"{where}: erase_foreign needs target_index")
 
     labels = [cfg.id for cfg in scenario.hosts]
     if len(set(labels)) != len(labels):
         raise InvalidScenarioError("duplicate host ids")
-    everyone = [scenario.agent_server, *scenario.route_servers, *labels]
-    if len(set(everyone)) != len(everyone):
+    everyone = {scenario.agent_server, *scenario.route_servers, *labels}
+    if len(everyone) != 1 + len(scenario.route_servers) + len(labels):
         raise InvalidScenarioError("agent server, route servers, and hosts must be distinct")
-    for label in everyone:
-        try:
-            host_id(label)
-        except ValueError as exc:
-            raise InvalidScenarioError(str(exc)) from None
-    unknown = [label for label in scenario.route if label not in set(labels)]
-    if unknown:
-        raise InvalidScenarioError(f"route names unknown hosts: {unknown}")
+    for i, label in enumerate(scenario.route):
+        if _check(label, str, f"route[{i}]") not in labels:
+            raise InvalidScenarioError(f"route[{i}] names an unknown host {label!r}")
+
     listed = set()
-    for ch in scenario.channels:
-        for end in ch.endpoints:
-            if end not in set(everyone):
-                raise InvalidScenarioError(f"channel endpoint {end!r} is not a participant")
-        a, b = ch.endpoints
-        if a == b:
-            raise InvalidScenarioError(f"channel from {a!r} to itself")
-        if (a, b) in listed:
-            raise InvalidScenarioError(f"channel {a!r}-{b!r} listed twice")
-        listed.add((a, b))
+    for i, ch in enumerate(_check(scenario.channels, tuple, "channels")):
+        where = f"channels[{i}]"
+        ends = _check(_check(ch, Channel, where).endpoints, tuple, f"{where}.endpoints")
+        if len(ends) != 2:
+            raise InvalidScenarioError(f"{where}.endpoints must name two participants")
+        for j, end in enumerate(ends):
+            if _check(end, str, f"{where}.endpoints[{j}]") not in everyone:
+                raise InvalidScenarioError(f"{where}: endpoint {end!r} is not a participant")
+        _check(ch.security, ChannelSecurity, f"{where}.security")
+        if ends[0] == ends[1]:
+            raise InvalidScenarioError(f"{where}: channel from {ends[0]!r} to itself")
+        if ends in listed:
+            raise InvalidScenarioError(f"{where}: channel {ends[0]!r}-{ends[1]!r} listed twice")
+        listed.add(ends)
 
 
 # --- channel policy ----------------------------------------------------------
@@ -563,7 +562,7 @@ def _apply_visit(
         # looks like any other visit to the route servers, then swaps the area
         return runtime.snapshot
 
-    if first and profile.kind in (COUNTERFEIT, ERASE_FOREIGN):
+    if first:
         area, note = apply_adversary(profile, area, params)
         if note:
             violations.append({**note, "host": cfg.id})

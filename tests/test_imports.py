@@ -3,9 +3,8 @@ module-level function, class or constant is referred to somewhere in the
 package.
 
 Deletions tend to leave imports and dead definitions behind; this keeps them
-from piling up. ``__init__.py`` is exempt from both checks, since its imports
-are the package's re-exports, and a re-export is not a reference: a public
-helper that no package module calls is flagged unless it is allowlisted.
+from piling up. ``__init__.py`` is exempt from both checks, and it must hold no
+import at all, so that each name has one import path: its own module.
 ``__future__`` imports are exempt from the first check.
 """
 
@@ -36,6 +35,20 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def import_statements(source: str) -> list[str]:
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_package_root_imports_nothing():
+    # a re-export would give a name a second import path besides its module
+    assert import_statements((PACKAGE / "__init__.py").read_text()) == []
+    assert import_statements("import os\nif os:\n    from sys import argv\n") == ["line 1", "line 3"]
 
 
 def test_detects_an_unused_import():
@@ -88,8 +101,8 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 
 
 # Public names that no package module calls. key_for_ciphertext is the
-# constructive witness of the paper's "a key for every same-length plaintext",
-# which acceptance criterion 3 runs, so the package keeps exporting it.
+# constructive witness of the paper's "a key for every same-length plaintext":
+# the tests call it when acceptance criterion 3 runs, so cipher.py keeps it.
 EXPORTED_ONLY = ["cipher.py: key_for_ciphertext"]
 
 

@@ -1,5 +1,6 @@
 """Role state machines: key lifecycle, route logging, reconciliation."""
 
+import itertools
 import random
 
 import pytest
@@ -566,6 +567,98 @@ class TestReconcile:
         report = server_reconcile(self.server, AGENT, area, responses, [ALPHA, BETA, BETA], P64)
         assert report.verdict is Verdict.ACCEPT
         assert report.attribution == ((0, ALPHA),)
+
+
+class TestAreaLevelEdits:
+    """Edits one host can make to a whole three-register data area.
+
+    Registers carry no position or agent id, and the server accepts only a
+    one-to-one match of surrendered keys and registers, so each verdict
+    follows from the match rules:
+    - a reorder keeps every key–register pair, so it is accepted, with the
+      attribution permuted to match;
+    - a duplicated register is validated by its key twice: DUPLICATE_MATCH;
+    - a dropped register leaves its key validating nothing: ORPHAN_KEY;
+    - another agent's register, appended, is validated by no surrendered
+      key: UNMATCHED_REGISTER;
+    - replacing a register by another agent's leaves the replaced one's key
+      validating nothing, and orphan keys are reported first: ORPHAN_KEY.
+    """
+
+    CONTRIBUTIONS = (
+        (ALPHA, b"alpha-data", ProtectionMode.SIGNATURE),
+        (BETA, b"beta-secret", ProtectionMode.ENCRYPTION),
+        (GAMMA, b"gamma-data", ProtectionMode.SIGNATURE),
+    )
+
+    def seeded(self, width):
+        """The registers and key responses of an honest run, plus a register
+        that a fourth host protected for another agent."""
+        params = CipherParams(width)
+        area, responses = AgentDataArea(AGENT), {}
+        for hid, payload, mode in self.CONTRIBUTIONS:
+            host = PeerHostState(hid, random.Random(hid + bytes([width])))
+            area = host_handle_agent(host, area, "append", payload, mode, params)
+            responses[hid] = list(host_send_keys(host, AGENT).keys)
+        other = host_handle_agent(
+            fresh_host("delta", width), AgentDataArea(bytes(16)), "append", b"elsewhere", SIG, params
+        )
+        foreign = other.registers[0]
+        # at W=8 a key validates a register not its own with chance 2^-8, which
+        # would change the verdicts above; in these areas no key does
+        keys = [key for hid, _, _ in self.CONTRIBUTIONS for key in responses[hid]]
+        assert [
+            [check_register(reg, key, params).valid for reg in (*area.registers, foreign)]
+            for key in keys
+        ] == [[ki == ri for ri in range(4)] for ki in range(3)]
+        return params, list(area.registers), responses, foreign
+
+    def reconcile(self, params, registers, responses):
+        area = AgentDataArea(AGENT, tuple(registers))
+        route = [hid for hid, _, _ in self.CONTRIBUTIONS]
+        return server_reconcile(AgentServerState(random.Random(0)), AGENT, area, responses, route, params)
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_every_reorder_accepts_with_permuted_attribution(self, width):
+        params, registers, responses, _ = self.seeded(width)
+        for order in itertools.permutations(range(3)):
+            report = self.reconcile(params, [registers[i] for i in order], responses)
+            assert report.verdict is Verdict.ACCEPT, order
+            assert report.attribution == tuple(
+                (ri, self.CONTRIBUTIONS[i][0]) for ri, i in enumerate(order)
+            )
+            assert report.plaintexts == {order.index(1): b"beta-secret"}
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_duplicated_register_is_a_duplicate_match(self, width):
+        params, registers, responses, _ = self.seeded(width)
+        for i in range(3):
+            for at in range(4):
+                edited = registers[:at] + [registers[i]] + registers[at:]
+                report = self.reconcile(params, edited, responses)
+                assert report.reason is DiscardReason.DUPLICATE_MATCH, (i, at)
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_dropped_register_orphans_its_key(self, width):
+        params, registers, responses, _ = self.seeded(width)
+        for i in range(3):
+            report = self.reconcile(params, registers[:i] + registers[i + 1 :], responses)
+            assert report.reason is DiscardReason.ORPHAN_KEY, i
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_appended_foreign_register_is_unmatched(self, width):
+        params, registers, responses, foreign = self.seeded(width)
+        for at in range(4):
+            report = self.reconcile(params, registers[:at] + [foreign] + registers[at:], responses)
+            assert report.reason is DiscardReason.UNMATCHED_REGISTER, at
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_register_replaced_by_a_foreign_one_orphans_its_key(self, width):
+        params, registers, responses, foreign = self.seeded(width)
+        for i in range(3):
+            edited = registers[:i] + [foreign] + registers[i + 1 :]
+            report = self.reconcile(params, edited, responses)
+            assert report.reason is DiscardReason.ORPHAN_KEY, i
 
 
 class TestReconcileMatchesReference:

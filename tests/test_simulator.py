@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -176,6 +176,85 @@ class TestScenarioLoaderIsTotal:
         # the property above says nothing unless the unchanged document runs
         report = run_scenario(scenario_from_dict(RICH_RAW))
         assert report.verification.verdict is Verdict.DISCARD
+
+
+def field_replaced(value, path, new):
+    """``value`` with the field or item at ``path`` replaced by ``new``; every
+    dataclass on the way is made again, so each one's checks run."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        return value[:key] + (field_replaced(value[key], rest, new),) + value[key + 1 :]
+    return replace(value, **{key: field_replaced(getattr(value, key), rest, new)})
+
+
+def scenario_fields(value, path=()):
+    """The path and value of every field and item inside a Scenario."""
+    if is_dataclass(value) and not isinstance(value, CipherParams):
+        children = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, tuple):
+        children = list(enumerate(value))
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from scenario_fields(child, path + (key,))
+
+
+RICH = scenario_from_dict(RICH_RAW)
+RICH_FIELDS = list(scenario_fields(RICH))
+# values a Scenario's fields hold: the valid value of every field, so that swaps
+# reach past the type checks, every enum member, octets and cipher parameters
+scenario_values = (
+    st.sampled_from([value for _, value in RICH_FIELDS])
+    | st.sampled_from([*ProtectionMode, *ChannelSecurity])
+    | st.binary(max_size=4)
+    | st.builds(CipherParams, st.sampled_from([8, 16, 32, 64]))
+)
+
+
+class TestScenarioValidatorIsTotal:
+    """A Scenario built in code meets the same rules as a scenario file."""
+
+    # When the validator checked only cross-field rules, the first nine were
+    # made without complaint: six then crashed in run_scenario and three ran.
+    # The last two raised TypeError or ValueError while making the Channel.
+    REFUSED = {
+        "revisit-unknown": (("hosts", 0, "revisit"), "bogus"),
+        "mode-word": (("hosts", 0, "mode"), "encrypt"),
+        "channel-security-word": (("channels", 0, "security"), "insecure"),
+        "default-security-word": (("default_channel_security",), "secure"),
+        "params-int": (("params",), 64),
+        "payload-str": (("hosts", 0, "payload"), "aa01"),
+        "profile-unknown": (("hosts", 0, "behavior"), BehaviorProfile("evil")),
+        "seed-float": (("seed",), 1.5),
+        "seed-bool": (("seed",), True),
+        "endpoints-not-strings": (("channels", 0, "endpoints"), (1, "alpha")),
+        "endpoints-one": (("channels", 0, "endpoints"), ("alpha",)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_refused_when_made(self, name):
+        path, value = self.REFUSED[name]
+        with pytest.raises(InvalidScenarioError):
+            field_replaced(RICH, path, value)
+
+    @given(
+        st.sampled_from([path for path, _ in RICH_FIELDS]), json_values | near_valid | scenario_values
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_in_any_field_is_refused_when_made_or_runs(self, path, value):
+        try:
+            scenario = field_replaced(RICH, path, value)
+        except InvalidScenarioError:
+            return
+        run_scenario(scenario)  # any other exception fails the property
+
+    def test_errors_name_the_field_path(self):
+        with pytest.raises(InvalidScenarioError) as info:
+            field_replaced(RICH, ("hosts", 1, "behavior", "target_index"), "0")
+        assert str(info.value) == "hosts[1].behavior.target_index must be an integer, got a string"
 
 
 class TestHonestRuns:
