@@ -113,7 +113,7 @@ class CipherParams:
     def __post_init__(self):
         if not isinstance(self.block_width_bits, int) or self.block_width_bits not in VALID_WIDTHS:
             raise ValueError(
-                f"block width must be one of {VALID_WIDTHS}, got {self.block_width_bits}"
+                f"block width must be one of {VALID_WIDTHS}, got {self.block_width_bits!r}"
             )
 
     @cached_property

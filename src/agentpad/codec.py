@@ -28,7 +28,6 @@ from .cipher import (
     ProtectionMode,
     Register,
     check_register,
-    padded_octets,
 )
 
 
@@ -56,19 +55,22 @@ class AgentDataArea:
     registers: tuple[Register, ...] = ()
 
 
+_HEADER = struct.Struct(">BI")
+_MODES = {mode.value: mode for mode in ProtectionMode}
+
+
 def _write_header(mode: ProtectionMode, count: int) -> bytes:
     """The mode octet and 4-octet count that open a register or key image."""
-    return struct.pack(">BI", mode.value, count)
+    return _HEADER.pack(mode.value, count)
 
 
 def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, int]:
     if len(raw) - offset < 5:
         raise TruncatedError(f"{what} header incomplete")
-    try:
-        mode = ProtectionMode(raw[offset])
-    except ValueError:
-        raise UnknownModeError(f"mode octet 0x{raw[offset]:02x}") from None
-    (count,) = struct.unpack_from(">I", raw, offset + 1)
+    octet, count = _HEADER.unpack_from(raw, offset)
+    mode = _MODES.get(octet)
+    if mode is None:
+        raise UnknownModeError(f"mode octet 0x{octet:02x}")
     return mode, count
 
 
@@ -111,7 +113,7 @@ def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS
     """Decode one register at ``offset``; returns it and the next offset."""
     bb = params.block_bytes
     mode, length = _read_header(raw, offset, "register")
-    data_octets = padded_octets(length, params)
+    data_octets = (length + bb - 1) // bb * bb  # padded_octets, inlined: one per register on the bus
     end = offset + 5 + data_octets + 2 * bb
     if len(raw) < end:
         raise TruncatedError(f"register body needs {end - offset} octets")

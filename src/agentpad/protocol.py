@@ -27,7 +27,7 @@ every message through it the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -223,7 +223,7 @@ def host_handle_agent(
         if own:
             del registers[reg_index]
             del keys[key_index]
-        return replace(area, registers=tuple(registers))
+        return AgentDataArea(area.agent, tuple(registers))
     # seeded reports depend on this draw order (codeword, then key) and on
     # gen_key seeing every held key, the one an edit replaces included
     cw = host.rng.getrandbits(params.block_width_bits)
@@ -236,7 +236,7 @@ def host_handle_agent(
     else:
         registers.append(reg)
     keys.append(key)
-    return replace(area, registers=tuple(registers))
+    return AgentDataArea(area.agent, tuple(registers))
 
 
 def host_send_keys(host: PeerHostState, agent: bytes) -> KeyResponse:

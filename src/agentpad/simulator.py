@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .cipher import (
     CipherParams,
@@ -144,9 +145,8 @@ class Scenario:
         validate_scenario(self)
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One delivered message."""
+class SimEvent(NamedTuple):
+    """One delivered message. A named tuple: immutable, and cheap to build."""
 
     time: int
     kind: str
@@ -166,8 +166,7 @@ class SimReport:
     def to_dict(self) -> dict:
         v = self.verification
         return {
-            # an event's fields; dataclasses.asdict would deep-copy each one
-            "trace": [vars(ev) for ev in self.trace],
+            "trace": [ev._asdict() for ev in self.trace],
             "verification": {
                 "verdict": v.verdict.value,
                 "reason": v.reason.value if v.reason else None,
@@ -251,8 +250,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         "channels", "default_channel_security", "policy_mode",
     ))
     try:
-        params = CipherParams(**_check(raw.get("params", {}), dict, "params"))
-    except (TypeError, ValueError) as exc:
+        params = CipherParams(**_object(raw.get("params", {}), "params", ("block_width_bits",)))
+    except ValueError as exc:
         raise InvalidScenarioError(f"bad params: {exc}") from None
 
     hosts = []
@@ -370,14 +369,6 @@ def validate_scenario(scenario: Scenario) -> None:
 # --- channel policy ----------------------------------------------------------
 
 
-def channel_between(scenario: Scenario, a: str, b: str) -> Channel:
-    ends = (a, b) if a < b else (b, a)  # the order Channel keeps
-    for ch in scenario.channels:
-        if ch.endpoints == ends:
-            return ch
-    return Channel(ends, scenario.default_channel_security)
-
-
 def enforce_channel_policy(message, channel: Channel) -> dict | None:
     """None when the delivery is allowed, else a violation record.
 
@@ -480,11 +471,19 @@ def run_scenario(scenario: Scenario) -> SimReport:
 
     trace: list[SimEvent] = []
     violations: list[dict] = []
+    # sorted endpoint pair -> (channel, security word); a pair no channel lists
+    # gets a default channel the first time it carries a message
+    channels = {ch.endpoints: (ch, ch.security.value) for ch in scenario.channels}
+    default = scenario.default_channel_security
 
     def deliver(src: str, dst: str, message):
         """Police, encode, decode and trace one message; the receiver acts on
         the decoded copy returned. None when the abort policy stops it."""
-        channel = channel_between(scenario, src, dst)
+        ends = (src, dst) if src < dst else (dst, src)  # the order Channel keeps
+        entry = channels.get(ends)
+        if entry is None:
+            entry = channels[ends] = (Channel(ends, default), default.value)
+        channel, security = entry
         violation = enforce_channel_policy(message, channel)
         if violation:
             violations.append({**violation, "aborted": abort})
@@ -498,7 +497,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
             detail["hosts"] = [host_label(h) for h in received.hosts]
         elif isinstance(received, KeyResponse):
             detail["keys"] = len(received.keys)
-        trace.append(SimEvent(len(trace) + 1, kind, src, dst, channel.security.value, detail))
+        trace.append(SimEvent(len(trace) + 1, kind, src, dst, security, detail))
         return received
 
     area = server_dispatch(server, [host_id(label) for label in scenario.route])

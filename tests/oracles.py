@@ -171,3 +171,13 @@ def valid_signature_keys_reference(reg, check, make_key, width) -> list:
         for k in range(1 << (2 * width))
         if check(reg, make_key(k.to_bytes(octets, "big"))).valid
     ]
+
+
+def channel_reference(channels, default, a: str, b: str):
+    """The security of the link between ``a`` and ``b``: a scan of ``channels``
+    (each with ``endpoints`` and ``security``) for the one joining the two, in
+    either order, else ``default``."""
+    for channel in channels:
+        if sorted(channel.endpoints) == sorted((a, b)):
+            return channel.security
+    return default

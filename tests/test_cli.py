@@ -14,6 +14,48 @@ from agentpad.cli import main
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
+# every field a scenario file may hold, with every profile's options
+FULL_SCENARIO = {
+    "params": {"block_width_bits": 8},
+    "seed": 3,
+    "agent_server": "server",
+    "route_servers": ["rs1"],
+    "hosts": [
+        {"id": "alpha", "payload": "aa01", "mode": "sign", "revisit": "edit", "behavior": {"profile": "honest"}},
+        {
+            "id": "beta",
+            "payload": "bb02",
+            "mode": "encrypt",
+            "behavior": {"profile": "counterfeit", "target_index": 0, "forged_payload": "ff"},
+        },
+    ],
+    "route": ["alpha", "beta"],
+    "channels": [{"endpoints": ["alpha", "server"], "security": "insecure"}],
+    "default_channel_security": "secure",
+    "policy_mode": "record",
+}
+
+
+# a string that would forge a second diagnostic line if printed as it is
+FORGED = "64\nerror: forged line"
+
+
+def forgeable(value, path=()):
+    """Where a scenario file can put a string of its choosing: the path of
+    every value that is not an object or an array, and a new key in every
+    object."""
+    if isinstance(value, dict):
+        yield path + (FORGED,)
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from forgeable(child, path + (key,))
+
+
 class TestRun:
     def test_honest_scenario_exits_zero(self, capsys):
         assert main(["run", str(SCENARIO_DIR / "honest.json")]) == 0
@@ -94,6 +136,25 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid scenario: ")
         assert captured.err.count("\n") == 1
+
+    def test_no_scenario_value_or_key_forges_a_line(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(FULL_SCENARIO))
+        assert main(["run", str(good)]) == 2  # so each refusal below is the forged value's
+        capsys.readouterr()
+        for path in forgeable(FULL_SCENARIO):
+            raw = json.loads(json.dumps(FULL_SCENARIO))
+            target = raw
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = FORGED
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(raw))
+            assert main(["run", str(bad)]) == 1, path
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid scenario: "), path
+            assert captured.err.count("\n") == 1, captured.err
 
     @pytest.mark.parametrize(
         "content, error",

@@ -227,6 +227,42 @@ class TestKeyWire:
             decode_key(b"\x07" + raw[1:])
 
 
+class TestHeaderTotality:
+    """The mode octet and count that open a register or key image, over every
+    mode octet and every header too short to hold them."""
+
+    WIRE_MODES = {0x01: ProtectionMode.SIGNATURE, 0x02: ProtectionMode.ENCRYPTION}
+    REGISTER = encode_register(random_register(random.Random(5), P64), P64)
+    KEY = encode_key(OneTimeKey(ProtectionMode.ENCRYPTION, bytes(range(24))))
+    CODECS = {  # image: (decode, encode, a well-formed image)
+        "register": (lambda raw: decode_register(raw, P64), lambda reg: encode_register(reg, P64), REGISTER),
+        "key": (decode_key, encode_key, KEY),
+    }
+
+    @pytest.mark.parametrize("image", sorted(CODECS))
+    def test_every_mode_octet(self, image):
+        decode, encode, raw = self.CODECS[image]
+        for octet in range(256):
+            forged = bytes([octet]) + raw[1:]
+            if octet in self.WIRE_MODES:
+                value = decode(forged)
+                assert value.mode is self.WIRE_MODES[octet]
+                assert encode(value) == forged
+            else:
+                with pytest.raises(UnknownModeError) as raised:
+                    decode(forged)
+                assert str(raised.value) == f"mode octet 0x{octet:02x}"
+
+    def test_short_header_is_truncated(self):
+        for n in range(5):
+            with pytest.raises(TruncatedError, match="register header incomplete"):
+                decode_register(self.REGISTER[:n], P64)
+            with pytest.raises(TruncatedError, match="register header incomplete"):
+                decode_area(b"\x00\x00\x00\x01" + self.REGISTER[:n], AGENT, P64)
+            with pytest.raises(TruncatedError, match="key header incomplete"):
+                decode_key(self.KEY[:n])
+
+
 class TestDecodeRobustness:
     """Arbitrary octets either decode cleanly or fail with a CodecError."""
 

@@ -33,6 +33,7 @@ from agentpad.simulator import (
     run_scenario,
     scenario_from_dict,
 )
+from oracles import channel_reference
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 P64 = CipherParams(64)
@@ -543,6 +544,49 @@ class TestChannelPolicy:
         # the aborted response never shows up as a delivered message
         senders = [e.src for e in report.trace if e.kind == "key_response"]
         assert "alpha" not in senders
+
+
+class TestChannelTableMatchesReference:
+    """Each delivered message is traced with the security of its channel, as
+    ``channel_reference`` finds it by scanning the scenario's listed channels."""
+
+    def assert_trace_matches(self, scenario) -> int:
+        """Check every event; returns how many rode a listed channel whose
+        security differs from the default."""
+        listed_apart = 0
+        default = scenario.default_channel_security
+        for event in run_scenario(scenario).trace:
+            expected = channel_reference(scenario.channels, default, event.src, event.dst)
+            assert event.security == expected.value, event
+            listed_apart += expected is not default
+        return listed_apart
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_scenarios(self, path):
+        self.assert_trace_matches(load_scenario(path))
+
+    def test_seeded_listings_under_both_defaults(self):
+        listed_apart = 0
+        paths = sorted(SCENARIO_DIR.glob("*.json"))
+        for seed in range(40):
+            rng = random.Random(7000 + seed)
+            scenario = load_scenario(paths[seed % len(paths)])
+            everyone = [scenario.agent_server, *scenario.route_servers]
+            everyone += [cfg.id for cfg in scenario.hosts]
+            pairs = [(a, b) for i, a in enumerate(everyone) for b in everyone[i + 1 :]]
+            chosen = rng.sample(pairs, rng.randint(1, len(pairs) - 1))
+            securities = [ChannelSecurity.INSECURE] + [
+                rng.choice(list(ChannelSecurity)) for _ in chosen[1:]
+            ]
+            channels = tuple(
+                Channel(pair[:: rng.choice((1, -1))], security)
+                for pair, security in zip(chosen, securities)
+            )
+            for default in ChannelSecurity:
+                listed_apart += self.assert_trace_matches(
+                    replace(scenario, channels=channels, default_channel_security=default)
+                )
+        assert listed_apart  # the listed channels were on the traced paths
 
 
 class TestTraceInvariants:
