@@ -2,27 +2,28 @@
 
 The protocol is non-interactive: after dispatch the agent server exchanges
 nothing with peer hosts until the agent returns. Hosts protect their own
-contributions with one-time keys, report each visit to the route servers
-with a RouteLogEntry, and surrender their keys only when the returned
-agent's server asks. The server then reconciles keys against registers:
-acceptance demands a perfect one-to-one matching plus route consistency, so
-erased registers surface as orphan keys and injected registers as unmatched
-ones.
+contributions with one-time keys, report each visit to the route servers,
+and surrender their keys only when the returned agent's server asks. The
+server then reconciles keys against registers: acceptance demands a perfect
+one-to-one matching plus route consistency, so erased registers surface as
+orphan keys and injected registers as unmatched ones.
 
-Message wire layouts (big-endian throughout; a counted list is a 4-octet
-item count followed by the items):
+Each message is the plain value it carries, named by its trace kind. Wire
+layouts by kind (big-endian throughout; a counted list is a 4-octet item
+count followed by the items):
 
-    AgentDataArea   agent id (16) + area image (counted list of registers),
-                    traced as agent_transfer
-    RouteLogEntry   agent id (16) + host id (8)
-    RouteQuery      agent id (16)
-    RouteAnswer     counted list of host ids (8 each)
-    KeyRequest      agent id (16)
-    KeyResponse     counted list of keys: mode octet, bit length (4), octets
+    agent_transfer  AgentDataArea: agent id (16) + area image (counted list
+                    of registers)
+    route_log       (agent id, host id): agent id (16) + host id (8)
+    route_query     agent id (16)
+    route_answer    tuple of host ids: counted list of host ids (8 each)
+    key_request     agent id (16)
+    key_response    tuple of OneTimeKey: counted list of keys, each a mode
+                    octet, bit length (4) and octets
 
-``MESSAGE_CODECS`` maps each message class to its trace kind, encoder and
-decoder. Every codec takes ``(value, params)``, so the simulator's bus sends
-every message through it the same way.
+``MESSAGE_CODECS`` maps each kind to its encoder and decoder. Every codec
+takes ``(value, params)``, so the simulator's bus sends every message
+through it the same way.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ HOST_ID_OCTETS = 8
 AGENT_ID_OCTETS = 16
 
 
-class ProtocolError(Exception):
-    pass
-
-
-class EmptyRouteError(ProtocolError):
-    pass
-
-
 def host_id(label: str) -> bytes:
     """8-octet identifier from a short label (NUL-padded UTF-8).
 
@@ -83,32 +76,6 @@ def host_label(hid: bytes) -> str:
 # --- protocol messages -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteLogEntry:
-    agent: bytes
-    host: bytes
-
-
-@dataclass(frozen=True)
-class RouteQuery:
-    agent: bytes
-
-
-@dataclass(frozen=True)
-class RouteAnswer:
-    hosts: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class KeyRequest:
-    agent: bytes
-
-
-@dataclass(frozen=True)
-class KeyResponse:
-    keys: tuple[OneTimeKey, ...]
-
-
 def encode_agent_transfer(area: AgentDataArea, params: CipherParams) -> bytes:
     return area.agent + encode_area(area, params)
 
@@ -119,55 +86,52 @@ def decode_agent_transfer(raw: bytes, params: CipherParams) -> AgentDataArea:
     return decode_area(raw[AGENT_ID_OCTETS:], raw[:AGENT_ID_OCTETS], params)
 
 
-def encode_route_log_entry(msg: RouteLogEntry, params: CipherParams) -> bytes:
-    return msg.agent + msg.host
+def encode_route_log_entry(entry: tuple[bytes, bytes], params: CipherParams) -> bytes:
+    agent, host = entry
+    return agent + host
 
 
-def decode_route_log_entry(raw: bytes, params: CipherParams) -> RouteLogEntry:
-    read_exact(raw, AGENT_ID_OCTETS + HOST_ID_OCTETS, "RouteLogEntry")
-    return RouteLogEntry(raw[:AGENT_ID_OCTETS], raw[AGENT_ID_OCTETS:])
+def decode_route_log_entry(raw: bytes, params: CipherParams) -> tuple[bytes, bytes]:
+    read_exact(raw, AGENT_ID_OCTETS + HOST_ID_OCTETS, "route_log")
+    return raw[:AGENT_ID_OCTETS], raw[AGENT_ID_OCTETS:]
 
 
-def encode_agent_id(msg: RouteQuery | KeyRequest, params: CipherParams) -> bytes:
-    return msg.agent
+def encode_agent_id(agent: bytes, params: CipherParams) -> bytes:
+    return agent
 
 
-def decode_route_query(raw: bytes, params: CipherParams) -> RouteQuery:
-    return RouteQuery(read_exact(raw, AGENT_ID_OCTETS, "RouteQuery"))
-
-
-def decode_key_request(raw: bytes, params: CipherParams) -> KeyRequest:
-    return KeyRequest(read_exact(raw, AGENT_ID_OCTETS, "KeyRequest"))
+def decode_agent_id(raw: bytes, params: CipherParams) -> bytes:
+    return read_exact(raw, AGENT_ID_OCTETS, "agent id")
 
 
 def _read_host(raw: bytes, offset: int) -> tuple[bytes, int]:
     end = offset + HOST_ID_OCTETS
-    return read_exact(raw[offset:end], HOST_ID_OCTETS, "RouteAnswer host id"), end
+    return read_exact(raw[offset:end], HOST_ID_OCTETS, "route_answer host id"), end
 
 
-def encode_route_answer(msg: RouteAnswer, params: CipherParams) -> bytes:
-    return write_counted(msg.hosts)
+def encode_route_answer(hosts: tuple[bytes, ...], params: CipherParams) -> bytes:
+    return write_counted(hosts)
 
 
-def decode_route_answer(raw: bytes, params: CipherParams) -> RouteAnswer:
-    return RouteAnswer(read_counted(raw, _read_host, "RouteAnswer"))
+def decode_route_answer(raw: bytes, params: CipherParams) -> tuple[bytes, ...]:
+    return read_counted(raw, _read_host, "route_answer")
 
 
-def encode_key_response(msg: KeyResponse, params: CipherParams) -> bytes:
-    return write_counted([encode_key(key) for key in msg.keys])
+def encode_key_response(keys: tuple[OneTimeKey, ...], params: CipherParams) -> bytes:
+    return write_counted([encode_key(key) for key in keys])
 
 
-def decode_key_response(raw: bytes, params: CipherParams) -> KeyResponse:
-    return KeyResponse(read_counted(raw, read_key, "KeyResponse"))
+def decode_key_response(raw: bytes, params: CipherParams) -> tuple[OneTimeKey, ...]:
+    return read_counted(raw, read_key, "key_response")
 
 
-MESSAGE_CODECS: dict[type, tuple[str, Callable[..., bytes], Callable[..., Any]]] = {
-    AgentDataArea: ("agent_transfer", encode_agent_transfer, decode_agent_transfer),
-    RouteLogEntry: ("route_log", encode_route_log_entry, decode_route_log_entry),
-    RouteQuery: ("route_query", encode_agent_id, decode_route_query),
-    RouteAnswer: ("route_answer", encode_route_answer, decode_route_answer),
-    KeyRequest: ("key_request", encode_agent_id, decode_key_request),
-    KeyResponse: ("key_response", encode_key_response, decode_key_response),
+MESSAGE_CODECS: dict[str, tuple[Callable[..., bytes], Callable[..., Any]]] = {
+    "agent_transfer": (encode_agent_transfer, decode_agent_transfer),
+    "route_log": (encode_route_log_entry, decode_route_log_entry),
+    "route_query": (encode_agent_id, decode_agent_id),
+    "route_answer": (encode_route_answer, decode_route_answer),
+    "key_request": (encode_agent_id, decode_agent_id),
+    "key_response": (encode_key_response, decode_key_response),
 }
 
 
@@ -239,13 +203,13 @@ def host_handle_agent(
     return AgentDataArea(area.agent, tuple(registers))
 
 
-def host_send_keys(host: PeerHostState, agent: bytes) -> KeyResponse:
+def host_send_keys(host: PeerHostState, agent: bytes) -> tuple[OneTimeKey, ...]:
     """Surrender every key held for ``agent`` and delete them locally.
 
     Draining is one-shot by construction: a second request finds nothing.
     A host that removed its own register legitimately answers empty.
     """
-    return KeyResponse(tuple(host.keystore.pop(agent, ())))
+    return tuple(host.keystore.pop(agent, ()))
 
 
 # --- route server ------------------------------------------------------------
@@ -287,10 +251,8 @@ class AgentServerState:
     rng: Any
 
 
-def server_dispatch(server: AgentServerState, route: list[bytes]) -> AgentDataArea:
+def server_dispatch(server: AgentServerState) -> AgentDataArea:
     """Mint a fresh agent with an empty data area."""
-    if not route:
-        raise EmptyRouteError("dispatch requires at least one hop")
     return AgentDataArea(server.rng.randbytes(AGENT_ID_OCTETS))
 
 

@@ -49,12 +49,7 @@ from .codec import AgentDataArea
 from .protocol import (
     MESSAGE_CODECS,
     AgentServerState,
-    KeyRequest,
-    KeyResponse,
     PeerHostState,
-    RouteLogEntry,
-    RouteQuery,
-    RouteAnswer,
     RouteServerState,
     Verdict,
     DiscardReason,
@@ -369,20 +364,23 @@ def validate_scenario(scenario: Scenario) -> None:
 # --- channel policy ----------------------------------------------------------
 
 
-def enforce_channel_policy(message, channel: Channel) -> dict | None:
+def enforce_channel_policy(
+    kind: str, value, ends: tuple[str, str], security: ChannelSecurity
+) -> dict | None:
     """None when the delivery is allowed, else a violation record.
 
-    Encryption keys are only as secret as the channel that carries them, so a
-    KeyResponse holding any encryption-mode key over an insecure channel is a
-    violation. Signature keys are past their one use and may travel in the
-    clear; everything else always passes.
+    ``ends`` is the sorted endpoint pair of the channel and ``security`` its
+    security. Encryption keys are only as secret as the channel that carries
+    them, so a key_response holding any encryption-mode key over an insecure
+    channel is a violation. Signature keys are past their one use and may
+    travel in the clear; everything else always passes.
     """
-    if isinstance(message, KeyResponse) and channel.security is ChannelSecurity.INSECURE:
-        exposed = sum(1 for k in message.keys if k.mode is ProtectionMode.ENCRYPTION)
+    if kind == "key_response" and security is ChannelSecurity.INSECURE:
+        exposed = sum(1 for k in value if k.mode is ProtectionMode.ENCRYPTION)
         if exposed:
             return {
                 "kind": "insecure_key_transfer",
-                "channel": list(channel.endpoints),
+                "channel": list(ends),
                 "encryption_keys": exposed,
             }
     return None
@@ -471,51 +469,47 @@ def run_scenario(scenario: Scenario) -> SimReport:
 
     trace: list[SimEvent] = []
     violations: list[dict] = []
-    # sorted endpoint pair -> (channel, security word); a pair no channel lists
-    # gets a default channel the first time it carries a message
-    channels = {ch.endpoints: (ch, ch.security.value) for ch in scenario.channels}
+    # sorted endpoint pair -> security; a pair no channel lists has the default
+    channels = {ch.endpoints: ch.security for ch in scenario.channels}
     default = scenario.default_channel_security
 
-    def deliver(src: str, dst: str, message):
-        """Police, encode, decode and trace one message; the receiver acts on
-        the decoded copy returned. None when the abort policy stops it."""
+    def deliver(src: str, dst: str, kind: str, value):
+        """Police, encode, decode and trace one message of ``kind``; the
+        receiver acts on the decoded value returned. None when the abort
+        policy stops it."""
         ends = (src, dst) if src < dst else (dst, src)  # the order Channel keeps
-        entry = channels.get(ends)
-        if entry is None:
-            entry = channels[ends] = (Channel(ends, default), default.value)
-        channel, security = entry
-        violation = enforce_channel_policy(message, channel)
+        security = channels.get(ends, default)
+        violation = enforce_channel_policy(kind, value, ends, security)
         if violation:
             violations.append({**violation, "aborted": abort})
             if abort:
                 return None
-        kind, encode, decode = MESSAGE_CODECS[type(message)]
-        raw = encode(message, params)
+        encode, decode = MESSAGE_CODECS[kind]
+        raw = encode(value, params)
         received = decode(raw, params)
         detail = {"octets": len(raw)}
-        if isinstance(received, RouteAnswer):
-            detail["hosts"] = [host_label(h) for h in received.hosts]
-        elif isinstance(received, KeyResponse):
-            detail["keys"] = len(received.keys)
-        trace.append(SimEvent(len(trace) + 1, kind, src, dst, security, detail))
+        if kind == "route_answer":
+            detail["hosts"] = [host_label(h) for h in received]
+        elif kind == "key_response":
+            detail["keys"] = len(received)
+        trace.append(SimEvent(len(trace) + 1, kind, src, dst, security.value, detail))
         return received
 
-    area = server_dispatch(server, [host_id(label) for label in scenario.route])
+    area = server_dispatch(server)
     agent = area.agent
 
     carrier = scenario.agent_server
     for label in scenario.route:
-        area = deliver(carrier, label, area)
+        area = deliver(carrier, label, "agent_transfer", area)
         area = _apply_visit(hosts[label], area, rs_states, deliver, violations, params)
         carrier = label
-    area = deliver(carrier, scenario.agent_server, area)
+    area = deliver(carrier, scenario.agent_server, "agent_transfer", area)
 
     answers = []
     for label, rs in rs_states.items():
-        query = deliver(scenario.agent_server, label, RouteQuery(agent))
-        logged = RouteAnswer(tuple(route_get(rs, query.agent)))
-        answer = deliver(label, scenario.agent_server, logged)
-        answers.append(list(answer.hosts))
+        queried = deliver(scenario.agent_server, label, "route_query", agent)
+        logged = tuple(route_get(rs, queried))
+        answers.append(list(deliver(label, scenario.agent_server, "route_answer", logged)))
 
     merged = merge_route_answers(answers)
     if merged is None:
@@ -526,14 +520,14 @@ def run_scenario(scenario: Scenario) -> SimReport:
         for hid in dict.fromkeys(merged):
             label = host_label(hid)
             runtime = hosts[label]
-            request = deliver(scenario.agent_server, label, KeyRequest(agent))
-            keys = host_send_keys(runtime.state, request.agent).keys
+            requested = deliver(scenario.agent_server, label, "key_request", agent)
+            keys = host_send_keys(runtime.state, requested)
             if runtime.config.behavior.kind == ORPHAN_KEY:
                 bogus_bits = runtime.state.rng.randbytes(params.signature_width_bits // 8)
                 keys += (OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits),)
-            response = deliver(label, scenario.agent_server, KeyResponse(keys))
+            response = deliver(label, scenario.agent_server, "key_response", keys)
             if response is not None:
-                collected[hid] = list(response.keys)
+                collected[hid] = list(response)
         verification = server_reconcile(server, agent, area, collected, merged, params)
 
     assertions = _trace_assertions(trace, scenario, violations)
@@ -554,8 +548,8 @@ def _apply_visit(
     first = runtime.visits == 0
     runtime.visits += 1
     for label, rs in rs_states.items():
-        entry = deliver(cfg.id, label, RouteLogEntry(area.agent, state.id))
-        route_log_visit(rs, entry.agent, entry.host)
+        agent, hid = deliver(cfg.id, label, "route_log", (area.agent, state.id))
+        route_log_visit(rs, agent, hid)
 
     if profile.kind == BRAINWASH_REPLAY and not first:
         # looks like any other visit to the route servers, then swaps the area

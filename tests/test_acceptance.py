@@ -27,9 +27,7 @@ from agentpad.cipher import (
 from agentpad.codec import decode_register, encode_register
 from agentpad.protocol import Verdict, host_id
 from agentpad.simulator import (
-    Channel,
     ChannelSecurity,
-    KeyResponse,
     enforce_channel_policy,
     run_scenario,
     scenario_from_dict,
@@ -331,8 +329,13 @@ def test_criterion_7_channel_policy():
     encryption keys the response exposed.
     """
     rng = random.Random(0xC1A06)
-    insecure = Channel(("h", "server"), ChannelSecurity.INSECURE)
-    secure = Channel(("h", "server"), ChannelSecurity.SECURE)
+    ends = ("h", "server")
+
+    def insecure(keys):
+        return enforce_channel_policy("key_response", keys, ends, ChannelSecurity.INSECURE)
+
+    def secure(keys):
+        return enforce_channel_policy("key_response", keys, ends, ChannelSecurity.SECURE)
 
     def violation(exposed):
         return {"kind": "insecure_key_transfer", "channel": ["h", "server"], "encryption_keys": exposed}
@@ -340,17 +343,17 @@ def test_criterion_7_channel_policy():
     for _ in range(200):
         enc = OneTimeKey(ProtectionMode.ENCRYPTION, rng.randbytes(rng.randrange(16, 48)))
         sig = OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(16))
-        assert enforce_channel_policy(KeyResponse((enc,)), insecure) == violation(1)
-        assert enforce_channel_policy(KeyResponse((sig, enc)), insecure) == violation(1)
-        assert enforce_channel_policy(KeyResponse((sig,)), insecure) is None
-        assert enforce_channel_policy(KeyResponse((sig, enc)), secure) is None
-        assert enforce_channel_policy(KeyResponse((sig,)), secure) is None
+        assert insecure((enc,)) == violation(1)
+        assert insecure((sig, enc)) == violation(1)
+        assert insecure((sig,)) is None
+        assert secure((sig, enc)) is None
+        assert secure((sig,)) is None
         exposed = rng.randrange(4)
         mix = [enc] * exposed + [sig] * rng.randrange(4)
         rng.shuffle(mix)
         expected = violation(exposed) if exposed else None
-        assert enforce_channel_policy(KeyResponse(tuple(mix)), insecure) == expected
-        assert enforce_channel_policy(KeyResponse(tuple(mix)), secure) is None
+        assert insecure(tuple(mix)) == expected
+        assert secure(tuple(mix)) is None
     print("\n[criterion 7] channel policy: 200 key mixes classified correctly  PASS")
 
 

@@ -2,6 +2,8 @@
 
 import json
 import random
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from agentpad.codec import (
 )
 from agentpad.protocol import PeerHostState, host_handle_agent, host_id
 import independent_decoder
+from oracles import derotated_blocks_reference, digest_reference, split_reference, xor_reference
 
 P8 = CipherParams(8)
 P64 = CipherParams(64)
@@ -180,6 +183,99 @@ class TestHeaderTampers:
             result = check_register(flipped, key, params)
             assert result.valid and result.reason is CheckReason.OK
             assert result.plaintext == (b"" if flipped_mode is ProtectionMode.ENCRYPTION else None)
+
+
+class TestMultiBlockTampers:
+    """Edits of two blocks of a stored data field, which the XOR-linear digest
+    can miss.
+
+    The digest of tampered blocks is the genuine digest XOR the digest of the
+    block deltas. So a signature register still validates iff the XOR of the
+    rotated deltas is zero, and complementing any two blocks always gives
+    zero, since a word of all ones is unchanged by any rotation. An
+    encryption register is checked against the plain XOR fold of its unmasked
+    stored blocks, so it validates iff the XOR of the deltas is zero and the
+    derotated padding stays zero; it then returns the message XOR the
+    derotated deltas. Each case's verdict is derived so, through the oracles
+    and the register's codeword, never from the package's output. Criterion 4
+    flips one bit at a time and sees none of these tampers.
+    """
+
+    CASES = 300
+
+    @staticmethod
+    def deltas(tamper, rng, stored, i, j, width):
+        """The per-block XOR that ``tamper`` applies to the stored blocks."""
+        if tamper == "complement":
+            word = (1 << width) - 1
+        elif tamper == "xor_word":
+            word = rng.randrange(1, 1 << width)
+        else:  # swap
+            word = stored[i] ^ stored[j]
+        return [word if k in (i, j) else 0 for k in range(len(stored))]
+
+    @pytest.mark.parametrize("width", [8, 64])
+    @pytest.mark.parametrize("tamper", ["complement", "xor_word", "swap"])
+    @pytest.mark.parametrize("mode", list(ProtectionMode), ids=lambda m: m.name.lower())
+    def test_two_block_tampers(self, width, tamper, mode):
+        params = CipherParams(width)
+        bb = params.block_bytes
+        rng = random.Random(f"{width}-{tamper}-{mode.name}")
+        whole = whole_accepted = 0
+        reasons = set()
+        for _ in range(self.CASES):
+            blocks = rng.randint(2, 6)
+            # half the registers end in a partial block (none can at W=8)
+            length = blocks * bb - (rng.randrange(bb) if rng.random() < 0.5 else 0)
+            message = rng.randbytes(length)
+            cw = rng.getrandbits(width)
+            key = OneTimeKey(mode, rng.randbytes(required_key_octets(mode, length, params)))
+            reg = protect_register(message, cw, key, params)
+            key = OneTimeKey(mode, key.bits)
+
+            stored = split_reference(reg.data_field, width)
+            i, j = rng.sample(range(blocks), 2)
+            deltas = self.deltas(tamper, rng, stored, i, j, width)
+            raw = bytearray(encode_register(reg, params))
+            raw[5 : 5 + blocks * bb] = b"".join(
+                (block ^ delta).to_bytes(bb, "big") for block, delta in zip(stored, deltas)
+            )
+            tampered = decode_register(bytes(raw), params)
+            result = check_register(tampered, key, params)
+            reasons.add(result.reason)
+
+            padded = message + bytes(blocks * bb - length)
+            if mode is ProtectionMode.SIGNATURE:
+                valid = digest_reference(deltas, cw, width) == 0
+                assert result.valid is valid
+                assert result.reason is (CheckReason.OK if valid else CheckReason.DIGEST_MISMATCH)
+                # the data field travels in clear: the forger knows the new message
+                altered = xor_reference(padded, b"".join(d.to_bytes(bb, "big") for d in deltas))
+                assert tampered.data_field == altered
+            else:
+                derotated = derotated_blocks_reference(deltas, cw, width)
+                altered = xor_reference(padded, b"".join(d.to_bytes(bb, "big") for d in derotated))
+                if reduce(xor, deltas):
+                    expected = CheckReason.DIGEST_MISMATCH
+                elif any(altered[length:]):
+                    expected = CheckReason.PADDING_NONZERO
+                else:
+                    expected = CheckReason.OK
+                assert result.reason is expected
+                assert result.valid is (expected is CheckReason.OK)
+                if result.valid:
+                    assert result.plaintext == altered[:length]
+            if length == blocks * bb:
+                whole += 1
+                whole_accepted += result.valid
+
+        # the tampers that always cancel: two complemented blocks in either
+        # mode, and any two equal deltas in an encryption register that has
+        # no padding for them to reach
+        if tamper == "complement" or mode is ProtectionMode.ENCRYPTION:
+            assert whole_accepted == whole > 0
+        if tamper == "complement" and mode is ProtectionMode.SIGNATURE:
+            assert reasons == {CheckReason.OK}
 
 
 class TestAreaWire:

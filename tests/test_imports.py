@@ -4,8 +4,10 @@ package.
 
 Deletions tend to leave imports and dead definitions behind; this keeps them
 from piling up. ``__init__.py`` is exempt from both checks, and it must hold no
-import at all, so that each name has one import path: its own module.
-``__future__`` imports are exempt from the first check.
+import at all, so that each name has one import path: its own module. The
+tests keep to that path too: each ``from agentpad.<module> import name`` names
+the module that defines ``name``. ``__future__`` imports are exempt from the
+first check.
 """
 
 import ast
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "agentpad"
+TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "agentpad"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -134,4 +137,51 @@ def test_detects_an_unreferenced_definition():
         "a.py: Dead",
         "a.py: DEAD_CONSTANT",
         "a.py: UNUSED",
+    ]
+
+
+def misrouted_imports(sources: dict[str, str], package: dict[str, str]) -> list[str]:
+    """Each ``from agentpad.<module> import name`` in ``sources`` whose module
+    does not itself define ``name``; both dicts map file names to source text,
+    and ``package`` holds the package's modules."""
+    defined = {
+        Path(name).stem: {d for node in ast.parse(source).body for d in defined_names(node)}
+        for name, source in package.items()
+    }
+    return [
+        f"{name} line {node.lineno}: {alias.name} from {node.module}"
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("agentpad.")
+        for alias in node.names
+        if alias.name not in defined.get(node.module.removeprefix("agentpad."), ())
+    ]
+
+
+def test_tests_import_each_name_from_its_module():
+    sources = {path.name: path.read_text() for path in TESTS.glob("*.py")}
+    package = {path.name: path.read_text() for path in MODULES}
+    assert misrouted_imports(sources, package) == []
+
+
+def test_detects_a_misrouted_import():
+    package = {
+        "a.py": "from .b import Moved\ndef f(): pass\nclass C: pass\nK = 1\n",
+        "b.py": "class Moved: pass\n",
+    }
+    sources = {
+        "test_x.py": (
+            "from agentpad.a import f, C, K\n"
+            "from agentpad.a import Moved\n"
+            "from agentpad.gone import f\n"
+            "from agentpad import a\n"
+            "from oracles import f\n"
+            "def test():\n"
+            "    from agentpad.b import Moved, f\n"
+        ),
+    }
+    assert misrouted_imports(sources, package) == [
+        "test_x.py line 2: Moved from agentpad.a",
+        "test_x.py line 3: f from agentpad.gone",
+        "test_x.py line 7: f from agentpad.b",
     ]

@@ -16,17 +16,15 @@ from agentpad.protocol import (
     DiscardReason,
     Verdict,
     decode_agent_transfer,
-    decode_key_response,
     encode_agent_transfer,
-    encode_key_response,
     host_id,
+    host_label,
 )
 from agentpad.simulator import (
     BehaviorProfile,
     Channel,
     ChannelSecurity,
     InvalidScenarioError,
-    KeyResponse,
     apply_adversary,
     enforce_channel_policy,
     load_scenario,
@@ -338,9 +336,7 @@ class TestAdversaries:
             images.append(raw)
             return raw
 
-        monkeypatch.setitem(
-            MESSAGE_CODECS, AgentDataArea, ("agent_transfer", capture, decode_agent_transfer)
-        )
+        monkeypatch.setitem(MESSAGE_CODECS, "agent_transfer", (capture, decode_agent_transfer))
         report = run_scenario(load_scenario(SCENARIO_DIR / "brainwash.json"))
         senders = [e.src for e in report.trace if e.kind == "agent_transfer"]
         assert senders == ["server", "mallory", "beta", "gamma", "delta", "mallory"]
@@ -436,19 +432,56 @@ class TestRouteLogging:
         assert logs == [(label, rs) for label in raw["route"] for rs in ("rs1", "rs2")]
 
 
-class TestWire:
-    def test_receivers_act_on_the_decoded_message(self, monkeypatch):
-        # an encoder that loses the last key must change what the server sees
-        def lossy(msg, params):
-            return encode_key_response(KeyResponse(msg.keys[:-1]), params)
+OTHER_AGENT = bytes(16)
+HONEST_ROUTE = ["alpha", "beta", "gamma"]
+UNMATCHED = (Verdict.DISCARD, DiscardReason.UNMATCHED_REGISTER, [])
 
-        monkeypatch.setitem(
-            MESSAGE_CODECS, KeyResponse, ("key_response", lossy, decode_key_response)
-        )
+
+class TestWire:
+    """The receiver of every message kind acts on the decoded value: an
+    encoder that alters the value it sends changes the outcome of
+    ``honest.json``, whose three hosts each contribute one register."""
+
+    # kind -> (what the altered encoder sends instead; the verdict, reason and
+    # attributed host of each register; the hosts of each route answer; the
+    # key count of each key response)
+    ALTERED = {
+        # each hop reverses the registers: beta appends to [a] and forwards
+        # [b, a], gamma appends to that and the server receives [g, a, b]; a
+        # reorder keeps every key-register pair, so it is accepted
+        "agent_transfer": (
+            lambda area: AgentDataArea(area.agent, area.registers[::-1]),
+            (Verdict.ACCEPT, None, ["gamma", "alpha", "beta"]), [HONEST_ROUTE] * 2, [1, 1, 1],
+        ),
+        # the visits are logged for another agent, so no route is known for
+        # this one and no keys are requested
+        "route_log": (lambda entry: (OTHER_AGENT, entry[1]), UNMATCHED, [[], []], []),
+        "route_query": (lambda agent: OTHER_AGENT, UNMATCHED, [[], []], []),
+        # gamma is missing from the route, so its key is never requested
+        "route_answer": (lambda hosts: hosts[:-1], UNMATCHED, [HONEST_ROUTE[:-1]] * 2, [1, 1]),
+        # each host holds keys only for the real agent, so it answers empty
+        "key_request": (lambda agent: OTHER_AGENT, UNMATCHED, [HONEST_ROUTE] * 2, [0, 0, 0]),
+        "key_response": (lambda keys: keys[:-1], UNMATCHED, [HONEST_ROUTE] * 2, [0, 0, 0]),
+    }
+
+    def test_cases_cover_the_table(self):
+        assert list(self.ALTERED) == list(MESSAGE_CODECS)
+
+    @pytest.mark.parametrize("kind", list(ALTERED))
+    def test_receivers_act_on_the_decoded_message(self, kind, monkeypatch):
+        alter, verification, route_answers, key_counts = self.ALTERED[kind]
+        encode, decode = MESSAGE_CODECS[kind]
+
+        def altering(value, params):
+            return encode(alter(value), params)
+
+        monkeypatch.setitem(MESSAGE_CODECS, kind, (altering, decode))
         report = run_scenario(load_scenario(SCENARIO_DIR / "honest.json"))
-        assert report.verification.verdict is Verdict.DISCARD
-        assert report.verification.reason is DiscardReason.UNMATCHED_REGISTER
-        assert [e.detail["keys"] for e in report.trace if e.kind == "key_response"] == [0, 0, 0]
+        v = report.verification
+        assert (v.verdict, v.reason, [host_label(h) for _, h in v.attribution]) == verification
+        trace = report.trace
+        assert [e.detail["hosts"] for e in trace if e.kind == "route_answer"] == route_answers
+        assert [e.detail["keys"] for e in trace if e.kind == "key_response"] == key_counts
 
 
 class TestApplyAdversary:
@@ -487,31 +520,31 @@ class TestApplyAdversary:
 
 
 class TestChannelPolicy:
-    def insecure(self):
-        return Channel(("alpha", "server"), ChannelSecurity.INSECURE)
+    ENDS = ("alpha", "server")
 
-    def secure(self):
-        return Channel(("alpha", "server"), ChannelSecurity.SECURE)
+    def insecure(self, kind, value):
+        return enforce_channel_policy(kind, value, self.ENDS, ChannelSecurity.INSECURE)
+
+    def secure(self, kind, value):
+        return enforce_channel_policy(kind, value, self.ENDS, ChannelSecurity.SECURE)
 
     def test_encryption_key_on_insecure_channel_violates(self):
-        response = KeyResponse((OneTimeKey(ProtectionMode.ENCRYPTION, bytes(24)),))
-        violation = enforce_channel_policy(response, self.insecure())
+        response = (OneTimeKey(ProtectionMode.ENCRYPTION, bytes(24)),)
+        violation = self.insecure("key_response", response)
         assert violation is not None
         assert violation["encryption_keys"] == 1
 
     def test_signature_key_passes_any_channel(self):
-        response = KeyResponse((OneTimeKey(ProtectionMode.SIGNATURE, bytes(16)),))
-        assert enforce_channel_policy(response, self.insecure()) is None
-        assert enforce_channel_policy(response, self.secure()) is None
+        response = (OneTimeKey(ProtectionMode.SIGNATURE, bytes(16)),)
+        assert self.insecure("key_response", response) is None
+        assert self.secure("key_response", response) is None
 
     def test_encryption_key_on_secure_channel_passes(self):
-        response = KeyResponse((OneTimeKey(ProtectionMode.ENCRYPTION, bytes(24)),))
-        assert enforce_channel_policy(response, self.secure()) is None
+        response = (OneTimeKey(ProtectionMode.ENCRYPTION, bytes(24)),)
+        assert self.secure("key_response", response) is None
 
     def test_other_messages_pass(self):
-        from agentpad.protocol import RouteLogEntry
-
-        assert enforce_channel_policy(RouteLogEntry(bytes(16), bytes(8)), self.insecure()) is None
+        assert self.insecure("route_log", (bytes(16), bytes(8))) is None
 
     def test_channel_endpoint_order_does_not_matter(self):
         honest = load_scenario(SCENARIO_DIR / "honest.json")
