@@ -12,6 +12,7 @@ be piped; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -81,6 +82,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_protect(args) -> int:
+    if not args.out and not hasattr(sys.stdout, "buffer"):
+        return _fail("stdout takes no octets here; name a register file with --out")
     try:
         message = Path(args.input).read_bytes()
     except OSError as exc:
@@ -149,7 +152,14 @@ def cmd_prop3(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use rather than at import.
+
+    ``parse_args`` only reads it, so every ``main`` call can share it. It holds
+    no command functions: ``main`` looks those up when it is called, so a
+    rebound ``cmd_*`` (a tracer's wrapper, a test's stub) is the one that runs.
+    """
     parser = _Parser(prog="agentpad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -158,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument("--report", default=None, help="also write the report JSON here")
     run.add_argument("-v", "--verbose", action="store_true", help="verdict summary on stderr")
-    run.set_defaults(func=cmd_run)
 
     protect = sub.add_parser("protect", help="protect a message file as a register")
     protect.add_argument("input", help="message octets to protect")
@@ -167,26 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
     protect.add_argument("--width", type=int, choices=VALID_WIDTHS, default=64)
     protect.add_argument("--seed", type=int, default=None, help="seeded rng (default: system entropy)")
     protect.add_argument("--out", default=None, help="register output path (default: stdout)")
-    protect.set_defaults(func=cmd_protect)
 
     verify = sub.add_parser("verify", help="check a register file against a key file")
     verify.add_argument("register", help="register octets")
     verify.add_argument("--key", required=True, help="key file from protect")
     verify.add_argument("--width", type=int, choices=VALID_WIDTHS, default=64)
     verify.add_argument("--out", default=None, help="write recovered plaintext here")
-    verify.set_defaults(func=cmd_verify)
 
     prop3 = sub.add_parser("prop3", help="count validating signature keys by brute force")
     prop3.add_argument("--width", type=int, default=8, help="block width, must stay enumerable")
     prop3.add_argument("--seed", type=int, default=None)
-    prop3.set_defaults(func=cmd_prop3)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    commands = {"run": cmd_run, "protect": cmd_protect, "verify": cmd_verify, "prop3": cmd_prop3}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, stdout/stderr split."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,18 @@ from pathlib import Path
 import pytest
 
 import agentpad
-from agentpad.cli import main
+from agentpad.cipher import VALID_WIDTHS
+from agentpad.cli import build_parser, main
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+
+
+def child_env():
+    """The environment of a ``python -m agentpad`` child that imports the same
+    package as this test, however pytest found it."""
+    src = str(Path(agentpad.__file__).parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
 
 
 # every field a scenario file may hold, with every profile's options
@@ -249,10 +260,33 @@ class TestProtectVerify:
         assert main(["verify", str(reg), "--key", str(key)]) == 1
         assert "malformed" in capsys.readouterr().err
 
-    def test_width_mismatch_is_detected_not_crashing(self, tmp_path, capsys):
-        reg, key = self.roundtrip(tmp_path, b"0123456789abcdef", "sign", 8)
-        code = main(["verify", str(reg), "--key", str(key), "--width", "64"])
-        assert code in (1, 2)
+    @pytest.mark.parametrize(
+        "written, read",
+        [(w, r) for w in VALID_WIDTHS for r in VALID_WIDTHS if w != r],
+        ids=lambda w: f"W{w}",
+    )
+    def test_width_mismatch_is_detected_not_crashing(self, written, read, tmp_path, capsys):
+        # a register image is 5 + pad_W(L) + 2*W/8 octets, and no two widths
+        # give the same size, so the decoder always refuses the other width's image
+        reg, key = self.roundtrip(tmp_path, b"0123456789abcdef", "sign", written)
+        assert main(["verify", str(reg), "--key", str(key), "--width", str(read)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed input: ")
+        assert captured.err.count("\n") == 1
+
+    def test_text_only_stdout_exits_one_before_writing_the_key(self, tmp_path, capsys):
+        src = tmp_path / "message.bin"
+        src.write_bytes(b"payload")
+        key = tmp_path / "key.bin"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["protect", str(src), "--key", str(key), "--seed", "1"])
+        assert code == 1
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not key.exists()
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         assert main(["protect", str(tmp_path / "nope"), "--key", str(tmp_path / "k")]) == 1
@@ -294,15 +328,48 @@ class TestUsage:
         assert exc.value.code == 1
 
     def test_module_entry_point(self):
-        # the child imports the same package as this test, however pytest found it
-        src = str(Path(agentpad.__file__).parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
         proc = subprocess.run(
             [sys.executable, "-m", "agentpad", "run", str(SCENARIO_DIR / "honest.json")],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verification"]["verdict"] == "accept"
+
+
+class TestSharedParser:
+    def test_dispatch_reads_the_command_at_call_time(self, monkeypatch):
+        # a tracer rebinds cmd_*; a parser that held the originals would bypass it
+        assert build_parser() is build_parser()
+        monkeypatch.setattr(agentpad.cli, "cmd_prop3", lambda args: 7)
+        assert main(["prop3"]) == 7
+
+    def test_one_parser_serves_a_sequence_of_calls(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
+        src = tmp_path / "message.bin"
+        src.write_bytes(b"shared parser, fresh arguments")
+        reg, key, plain = tmp_path / "register.bin", tmp_path / "key.bin", tmp_path / "plain.bin"
+        protect = ["protect", str(src), "--mode", "encrypt", "--width", "16", "--seed", "5"]
+        assert main([*protect, "--key", str(key), "--out", str(reg)]) == 0
+        assert main(["verify", str(reg), "--key", str(key), "--width", "16", "--out", str(plain)]) == 0
+        assert plain.read_bytes() == src.read_bytes()
+        plain.unlink()
+        assert main(["verify", str(reg), "--key", str(key), "--width", "16"]) == 0
+        assert not plain.exists()
+
+        child_key = tmp_path / "child.key"
+        proc = subprocess.run(
+            [sys.executable, "-m", "agentpad", *protect, "--key", str(child_key)],
+            capture_output=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == reg.read_bytes()
+        assert child_key.read_bytes() == key.read_bytes()
