@@ -201,6 +201,12 @@ def padded_octets(length: int, params: CipherParams) -> int:
     return ((length + bb - 1) // bb) * bb
 
 
+def pad_to_blocks(data: bytes, params: CipherParams) -> bytes:
+    """``data`` zero-padded to a whole number of blocks."""
+    short = -len(data) % params.block_bytes
+    return data + bytes(short) if short else data
+
+
 def required_key_octets(mode: ProtectionMode, message_octets: int, params: CipherParams) -> int:
     """Key size demanded by a mode for a message of the given length."""
     signature = params.signature_width_bits // 8
@@ -214,9 +220,7 @@ def split_into_blocks(data: bytes, params: CipherParams) -> list[int]:
     bb = params.block_bytes
     if bb == 1:
         return list(data)
-    rem = len(data) % bb
-    if rem:
-        data = data + b"\x00" * (bb - rem)
+    data = pad_to_blocks(data, params)
     return [int.from_bytes(data[i : i + bb], "big") for i in range(0, len(data), bb)]
 
 
@@ -335,12 +339,6 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
     return head + words.tobytes()
 
 
-def _padded(data: bytes, params: CipherParams) -> bytes:
-    """``data`` zero-padded to a whole number of blocks."""
-    short = -len(data) % params.block_bytes
-    return data + bytes(short) if short else data
-
-
 def _xor(a: bytes, b: bytes) -> bytes:
     n = len(a)
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
@@ -370,7 +368,7 @@ def protect_register(
         raise ValueError("codeword out of range for the block width")
 
     bb = params.block_bytes
-    padded = _padded(message, params)
+    padded = pad_to_blocks(message, params)
     if key.mode is ProtectionMode.SIGNATURE:
         mfd = _digest(padded, cw, params)
         data_field = padded
@@ -413,14 +411,14 @@ def check_register(
     claimed = reg.masked_mfd ^ (masks & params.word_mask)
 
     if reg.mode is ProtectionMode.SIGNATURE:
-        if _digest(_padded(reg.data_field, params), cw, params) != claimed:
+        if _digest(pad_to_blocks(reg.data_field, params), cw, params) != claimed:
             return _DIGEST_REJECT
         return _SIGNATURE_OK
 
     # The digest of the derotated blocks is the plain XOR fold of the
     # unmasked ones (each derotation undoes its rotation), so only the
     # recovered plaintext needs the schedule. A short data field is
-    # zero-padded after unmasking, as _padded would pad it.
+    # zero-padded after unmasking, as pad_to_blocks would pad it.
     size = len(reg.data_field)
     short = -size % bb
     unmasked = (
@@ -490,7 +488,7 @@ def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:
     message, so no candidate fails the key-length test.
     """
     w = params.block_width_bits
-    data = _padded(reg.data_field, params)
+    data = pad_to_blocks(reg.data_field, params)
     masked_cw, masked_mfd = reg.masked_cw, reg.masked_mfd
     for c in range(1 << w):
         digest = _digest(data, masked_cw ^ c, params)

@@ -6,7 +6,9 @@ contributions with one-time keys, report each visit to the route servers,
 and surrender their keys only when the returned agent's server asks. The
 server then reconciles keys against registers: acceptance demands a perfect
 one-to-one matching plus route consistency, so erased registers surface as
-orphan keys and injected registers as unmatched ones.
+orphan keys and injected registers as unmatched ones. A route server is
+only its append-only log, a dict from agent id to the visiting host ids in
+arrival order.
 
 Each message is the plain value it carries, named by its trace kind. Wire
 layouts by kind (big-endian throughout; a counted list is a 4-octet item
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .cipher import (
     CipherParams,
@@ -215,22 +217,7 @@ def host_send_keys(host: PeerHostState, agent: bytes) -> tuple[OneTimeKey, ...]:
 # --- route server ------------------------------------------------------------
 
 
-@dataclass
-class RouteServerState:
-    """Append-only visit log: per agent, the visiting hosts in arrival order."""
-
-    logs: dict[bytes, list[bytes]] = field(default_factory=dict)
-
-
-def route_log_visit(rs: RouteServerState, agent: bytes, host: bytes) -> None:
-    rs.logs.setdefault(agent, []).append(host)
-
-
-def route_get(rs: RouteServerState, agent: bytes) -> list[bytes]:
-    return list(rs.logs.get(agent, []))
-
-
-def merge_route_answers(answers: list[list[bytes]]) -> list[bytes] | None:
+def merge_route_answers(answers: list[tuple[bytes, ...]]) -> tuple[bytes, ...] | None:
     """The common route if every route server agrees, else None."""
     if not answers:
         return None
@@ -238,7 +225,7 @@ def merge_route_answers(answers: list[list[bytes]]) -> list[bytes] | None:
     for other in answers[1:]:
         if other != first:
             return None
-    return list(first)
+    return first
 
 
 # --- agent server ------------------------------------------------------------
@@ -287,8 +274,8 @@ def server_reconcile(
     server: AgentServerState,
     agent: bytes,
     area: AgentDataArea,
-    key_responses: dict[bytes, list[OneTimeKey]],
-    route: list[bytes],
+    key_responses: dict[bytes, Sequence[OneTimeKey]],
+    route: Sequence[bytes],
     params: CipherParams = DEFAULT_PARAMS,
 ) -> VerificationReport:
     """Match every surrendered key against every register.

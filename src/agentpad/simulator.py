@@ -42,7 +42,7 @@ from .cipher import (
     OneTimeKey,
     ProtectionMode,
     Register,
-    padded_octets,
+    pad_to_blocks,
     protect_register,
 )
 from .codec import AgentDataArea
@@ -50,7 +50,6 @@ from .protocol import (
     MESSAGE_CODECS,
     AgentServerState,
     PeerHostState,
-    RouteServerState,
     Verdict,
     DiscardReason,
     VerificationReport,
@@ -59,8 +58,6 @@ from .protocol import (
     host_label,
     host_send_keys,
     merge_route_answers,
-    route_get,
-    route_log_visit,
     server_dispatch,
     server_reconcile,
 )
@@ -333,6 +330,8 @@ def validate_scenario(scenario: Scenario) -> None:
             raise InvalidScenarioError(f"{where}: counterfeit needs target_index and forged_payload")
         if kind == ERASE_FOREIGN and target is None:
             raise InvalidScenarioError(f"{where}: erase_foreign needs target_index")
+        if kind == KEY_REUSE and cfg.payload is None:
+            raise InvalidScenarioError(f"{where}: key_reuse needs a payload to protect")
 
     labels = [cfg.id for cfg in scenario.hosts]
     if len(set(labels)) != len(labels):
@@ -413,7 +412,7 @@ def apply_adversary(
         return replace(area, registers=registers), None
     reg = area.registers[idx]
     forged = profile.forged_payload or b""
-    padded = forged + b"\x00" * (padded_octets(len(forged), params) - len(forged))
+    padded = pad_to_blocks(forged, params)
     fake = Register(reg.mode, len(forged), padded, reg.masked_cw, reg.masked_mfd)
     registers = list(area.registers)
     registers[idx] = fake
@@ -457,15 +456,15 @@ def run_scenario(scenario: Scenario) -> SimReport:
     params = scenario.params
     abort = scenario.policy_mode == "abort"
     master = random.Random(scenario.seed)
-    server_rng = random.Random(master.getrandbits(64))
-    host_rngs = {cfg.id: random.Random(master.getrandbits(64)) for cfg in scenario.hosts}
-
-    server = AgentServerState(server_rng)
-    rs_states = {label: RouteServerState() for label in scenario.route_servers}
+    # seeded reports depend on this draw order: the server's rng, then each host's
+    server = AgentServerState(random.Random(master.getrandbits(64)))
     hosts = {
-        cfg.id: _HostRuntime(cfg, PeerHostState(host_id(cfg.id), host_rngs[cfg.id]))
+        cfg.id: _HostRuntime(
+            cfg, PeerHostState(host_id(cfg.id), random.Random(master.getrandbits(64)))
+        )
         for cfg in scenario.hosts
     }
+    logs: dict[str, dict[bytes, list[bytes]]] = {label: {} for label in scenario.route_servers}
 
     trace: list[SimEvent] = []
     violations: list[dict] = []
@@ -501,22 +500,22 @@ def run_scenario(scenario: Scenario) -> SimReport:
     carrier = scenario.agent_server
     for label in scenario.route:
         area = deliver(carrier, label, "agent_transfer", area)
-        area = _apply_visit(hosts[label], area, rs_states, deliver, violations, params)
+        area = _apply_visit(hosts[label], area, logs, deliver, violations, params)
         carrier = label
     area = deliver(carrier, scenario.agent_server, "agent_transfer", area)
 
     answers = []
-    for label, rs in rs_states.items():
+    for label, log in logs.items():
         queried = deliver(scenario.agent_server, label, "route_query", agent)
-        logged = tuple(route_get(rs, queried))
-        answers.append(list(deliver(label, scenario.agent_server, "route_answer", logged)))
+        logged = tuple(log.get(queried, ()))
+        answers.append(deliver(label, scenario.agent_server, "route_answer", logged))
 
     merged = merge_route_answers(answers)
     if merged is None:
         # no trustworthy route, so no key requests can be driven from it
         verification = VerificationReport(Verdict.DISCARD, DiscardReason.ROUTE_MISMATCH)
     else:
-        collected: dict[bytes, list[OneTimeKey]] = {}
+        collected: dict[bytes, tuple[OneTimeKey, ...]] = {}
         for hid in dict.fromkeys(merged):
             label = host_label(hid)
             runtime = hosts[label]
@@ -527,7 +526,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
                 keys += (OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits),)
             response = deliver(label, scenario.agent_server, "key_response", keys)
             if response is not None:
-                collected[hid] = list(response)
+                collected[hid] = response
         verification = server_reconcile(server, agent, area, collected, merged, params)
 
     assertions = _trace_assertions(trace, scenario, violations)
@@ -537,7 +536,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
 def _apply_visit(
     runtime: _HostRuntime,
     area: AgentDataArea,
-    rs_states: dict[str, RouteServerState],
+    logs: dict[str, dict[bytes, list[bytes]]],
     deliver,
     violations: list[dict],
     params: CipherParams,
@@ -547,9 +546,9 @@ def _apply_visit(
     state = runtime.state
     first = runtime.visits == 0
     runtime.visits += 1
-    for label, rs in rs_states.items():
+    for label, log in logs.items():
         agent, hid = deliver(cfg.id, label, "route_log", (area.agent, state.id))
-        route_log_visit(rs, agent, hid)
+        log.setdefault(agent, []).append(hid)
 
     if profile.kind == BRAINWASH_REPLAY and not first:
         # looks like any other visit to the route servers, then swaps the area
@@ -564,20 +563,19 @@ def _apply_visit(
     area = host_handle_agent(state, area, action, payload, cfg.mode, params)
 
     if profile.kind == KEY_REUSE and first:
-        keys = state.keystore.get(area.agent)
-        if keys:
-            try:
-                protect_register(cfg.payload or b"", 0, keys[-1], params)
-            except KeyConsumedError:
-                violations.append(
-                    {
-                        "kind": "key_reuse_blocked",
-                        "host": cfg.id,
-                        "note": "second use of a one-time key rejected locally",
-                    }
-                )
-            else:
-                violations.append({"kind": "key_reuse_not_blocked", "host": cfg.id})
+        # the first visit appended the payload, so the last key held is the one just used
+        try:
+            protect_register(cfg.payload, 0, state.keystore[area.agent][-1], params)
+        except KeyConsumedError:
+            violations.append(
+                {
+                    "kind": "key_reuse_blocked",
+                    "host": cfg.id,
+                    "note": "second use of a one-time key rejected locally",
+                }
+            )
+        else:
+            violations.append({"kind": "key_reuse_not_blocked", "host": cfg.id})
 
     if profile.kind == BRAINWASH_REPLAY and first:
         runtime.snapshot = area

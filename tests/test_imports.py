@@ -1,13 +1,13 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 module-level function, class or constant is referred to somewhere in the
-package.
+package, and every parameter of a package function is read in its body.
 
-Deletions tend to leave imports and dead definitions behind; this keeps them
-from piling up. ``__init__.py`` is exempt from both checks, and it must hold no
-import at all, so that each name has one import path: its own module. The
-tests keep to that path too: each ``from agentpad.<module> import name`` names
-the module that defines ``name``. ``__future__`` imports are exempt from the
-first check.
+Deletions tend to leave imports, dead definitions and parameters behind; this
+keeps them from piling up. ``__init__.py`` is exempt from these checks, and it
+must hold no import at all, so that each name has one import path: its own
+module. The tests keep to that path too: each ``from agentpad.<module> import
+name`` names the module that defines ``name``. ``__future__`` imports are
+exempt from the first check.
 """
 
 import ast
@@ -184,4 +184,76 @@ def test_detects_a_misrouted_import():
         "test_x.py line 2: Moved from agentpad.a",
         "test_x.py line 3: f from agentpad.gone",
         "test_x.py line 7: f from agentpad.b",
+    ]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Each function or lambda in ``source`` whose body never reads some of its
+    parameters, as ``name(parameter, ...)`` in line order. The codecs of a
+    ``MESSAGE_CODECS`` table may leave ``params`` unread: the table gives every
+    codec the same ``(value, params)`` signature."""
+    tree = ast.parse(source)
+    codecs = {
+        n.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and "MESSAGE_CODECS" in defined_names(node)
+        for n in ast.walk(node.value)
+        if isinstance(n, ast.Name)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [
+            arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if arg
+        ]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread = [p for p in params if p not in read and not (name in codecs and p == "params")]
+        if unread:
+            found.append((node.lineno, f"{name}({', '.join(unread)})"))
+    return [entry for _, entry in sorted(found)]
+
+
+# server_reconcile keeps its unread server and agent parameters while the
+# bench's reconcile hook reads its arguments by position (args[2] and args[3]);
+# ROADMAP item 1 moves that hook to read them by name, and then they go.
+UNREAD_ALLOWED = ["protocol.py: server_reconcile(server, agent)"]
+
+
+def test_every_parameter_is_read():
+    found = [
+        f"{path.name}: {entry}" for path in MODULES for entry in unread_parameters(path.read_text())
+    ]
+    assert found == UNREAD_ALLOWED
+
+
+def test_detects_an_unread_parameter():
+    source = (
+        "def spread(a, b, /, c, *args, d, **kw):\n"
+        "    return a + c + d\n"
+        "def outer(x):\n"
+        "    def inner(z):\n"
+        "        return x\n"
+        "    return inner\n"
+        "def encode(value, params):\n"
+        "    return value\n"
+        "def helper(value, params):\n"
+        "    return value\n"
+        "MESSAGE_CODECS = {'kind': (encode, encode)}\n"
+        "pick = lambda u, v: u\n"
+    )
+    assert unread_parameters(source) == [
+        "spread(b, args, kw)",
+        "inner(z)",
+        "helper(params)",
+        "<lambda>(v)",
     ]

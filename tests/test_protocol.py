@@ -26,7 +26,6 @@ from agentpad.protocol import (
     AgentServerState,
     DiscardReason,
     PeerHostState,
-    RouteServerState,
     Verdict,
     decode_agent_id,
     decode_agent_transfer,
@@ -43,8 +42,6 @@ from agentpad.protocol import (
     host_label,
     host_send_keys,
     merge_route_answers,
-    route_get,
-    route_log_visit,
     server_dispatch,
     server_reconcile,
 )
@@ -248,36 +245,11 @@ class TestMessageDecodeRobustness:
 
 
 class TestRouteServer:
-    def test_sequence_numbers(self):
-        rs = RouteServerState()
-        route_log_visit(rs, AGENT, ALPHA)
-        assert route_get(rs, AGENT) == [ALPHA]
-        route_log_visit(rs, AGENT, BETA)
-        route_log_visit(rs, AGENT, ALPHA)
-        assert route_get(rs, AGENT) == [ALPHA, BETA, ALPHA]
-
-    def test_interleaved_agents_independent(self):
-        rs = RouteServerState()
-        other = bytes(16)
-        route_log_visit(rs, AGENT, ALPHA)
-        route_log_visit(rs, other, BETA)
-        route_log_visit(rs, AGENT, GAMMA)
-        assert route_get(rs, AGENT) == [ALPHA, GAMMA]
-        assert route_get(rs, other) == [BETA]
-
-    def test_unknown_agent_empty(self):
-        assert route_get(RouteServerState(), AGENT) == []
-
-    def test_identical_feeds_identical_answers(self):
-        a, b = RouteServerState(), RouteServerState()
-        for hid in (ALPHA, BETA, ALPHA):
-            route_log_visit(a, AGENT, hid)
-            route_log_visit(b, AGENT, hid)
-        assert route_get(a, AGENT) == route_get(b, AGENT)
-
     def test_merge_route_answers(self):
-        assert merge_route_answers([[ALPHA, BETA], [ALPHA, BETA]]) == [ALPHA, BETA]
-        assert merge_route_answers([[ALPHA], [BETA]]) is None
+        agreed = (ALPHA, BETA)
+        assert merge_route_answers([agreed, (ALPHA, BETA)]) is agreed
+        assert merge_route_answers([(ALPHA,), (BETA,)]) is None
+        assert merge_route_answers([agreed, agreed, (ALPHA,)]) is None
         assert merge_route_answers([]) is None
 
 

@@ -24,6 +24,7 @@ from agentpad.simulator import (
     BehaviorProfile,
     Channel,
     ChannelSecurity,
+    HostConfig,
     InvalidScenarioError,
     apply_adversary,
     enforce_channel_policy,
@@ -98,6 +99,15 @@ class TestScenarioLoading:
     def test_invalid_scenarios_rejected(self, overrides):
         with pytest.raises(InvalidScenarioError):
             scenario_from_dict(basic_raw(**overrides))
+
+    def test_key_reuse_without_payload_refused(self, tmp_path):
+        # its first visit would be idle, so no second protection is ever tried
+        hosts = [{"id": "h0", "behavior": {"profile": "key_reuse"}}, {"id": "h1", "payload": "01"}]
+        path = tmp_path / "key_reuse.json"
+        path.write_text(json.dumps(basic_raw(hosts=hosts, route=["h0", "h1"])))
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == "hosts[0].behavior: key_reuse needs a payload to protect"
 
     def test_bad_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -254,6 +264,11 @@ class TestScenarioValidatorIsTotal:
         with pytest.raises(InvalidScenarioError) as info:
             field_replaced(RICH, ("hosts", 1, "behavior", "target_index"), "0")
         assert str(info.value) == "hosts[1].behavior.target_index must be an integer, got a string"
+
+    def test_key_reuse_without_payload_refused(self):
+        with pytest.raises(InvalidScenarioError) as info:
+            field_replaced(RICH, ("hosts", 0), HostConfig("alpha", BehaviorProfile("key_reuse")))
+        assert str(info.value) == "hosts[0].behavior: key_reuse needs a payload to protect"
 
 
 class TestHonestRuns:
@@ -530,9 +545,11 @@ class TestChannelPolicy:
 
     def test_encryption_key_on_insecure_channel_violates(self):
         response = (OneTimeKey(ProtectionMode.ENCRYPTION, bytes(24)),)
-        violation = self.insecure("key_response", response)
-        assert violation is not None
-        assert violation["encryption_keys"] == 1
+        assert self.insecure("key_response", response) == {
+            "kind": "insecure_key_transfer",
+            "channel": ["alpha", "server"],
+            "encryption_keys": 1,
+        }
 
     def test_signature_key_passes_any_channel(self):
         response = (OneTimeKey(ProtectionMode.SIGNATURE, bytes(16)),)
