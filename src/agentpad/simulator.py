@@ -10,17 +10,26 @@ the decoded copy, so the trace is the execution. Given the same scenario
 and seed the report is bit-identical; there is no latency model because
 nothing in the protocol depends on timing.
 
-Adversary profiles:
+A host reports each visit to every route server before it acts. Its first
+visit appends its payload. A revisit follows its ``revisit`` policy: ``edit``
+re-protects its first register in place (or appends when none is left),
+``append`` adds another, ``remove`` deletes the first, ``idle`` does nothing;
+an edit or append writes the payload plus ``/v2``. A host without a payload
+is idle on every visit. Adversary profiles act at these points:
 
-    counterfeit       overwrite a foreign register's data field (the key is
-                      out of reach, so the signature cannot be redone)
-    erase_foreign     delete a foreign register; the victim's keystore is
-                      out of reach, so its key survives as evidence
-    brainwash_replay  on a revisit, restore the bit-copy of the area the
-                      host forwarded on its first visit
-    orphan_key        behave honestly but report one extra random key
-    key_reuse         attempt a second protection with a consumed key; the
-                      protection layer blocks it locally
+    counterfeit       first visit, before the append: overwrite a foreign
+                      register's data field (the key is out of reach, so
+                      the signature cannot be redone)
+    erase_foreign     first visit, before the append: delete a foreign
+                      register; the victim's key survives as evidence
+    brainwash_replay  every revisit: forward the area the host forwarded on
+                      its first visit, bit for bit (visited once, honest)
+    orphan_key        key response: report one extra random key
+    key_reuse         first visit, after the append: protect again with the
+                      consumed key, which the protection layer blocks
+
+A counterfeit or erase_foreign target past the end of the area is noted as
+``adversary_target_missing``, with the host's label.
 
 Sender identities are authentic by construction and no host can read another
 host's keystore. Agents carry no log of their own (it would be as writable
@@ -396,11 +405,9 @@ def apply_adversary(
     """Area transformation for the tampering profiles.
 
     Counterfeit rewrites a foreign register's clear fields but cannot touch
-    the masked signature; erase_foreign deletes the register outright. The
-    other profiles act elsewhere (brainwash_replay at its revisit,
-    orphan_key at key-response time, key_reuse at protection time) and leave
-    the area alone. Returns the new area and, when the configured target
-    does not exist, a note record.
+    the masked signature; erase_foreign deletes the register outright. Other
+    profiles leave the area alone. Returns the new area and, when the
+    configured target does not exist, a note record.
     """
     if profile.kind not in (COUNTERFEIT, ERASE_FOREIGN):
         return area, None
@@ -422,22 +429,12 @@ def apply_adversary(
 # --- the event loop ------------------------------------------------------------
 
 
-@dataclass
-class _HostRuntime:
-    config: HostConfig
-    state: PeerHostState
-    visits: int = 0
-    snapshot: AgentDataArea | None = None  # what a brainwash host first forwarded
-
-
 def _intent_for(cfg: HostConfig, first: bool) -> tuple[str, bytes | None]:
     """The (action, payload) of a host's visit."""
-    if first:
-        if cfg.payload is None:
-            return "idle", None
-        return "append", cfg.payload
-    if cfg.revisit == "idle" or cfg.payload is None:
+    if cfg.payload is None or (not first and cfg.revisit == "idle"):
         return "idle", None
+    if first:
+        return "append", cfg.payload
     if cfg.revisit == "remove":
         return "remove", None
     # fresh content for edit/append revisits, distinct per visit
@@ -458,12 +455,14 @@ def run_scenario(scenario: Scenario) -> SimReport:
     master = random.Random(scenario.seed)
     # seeded reports depend on this draw order: the server's rng, then each host's
     server = AgentServerState(random.Random(master.getrandbits(64)))
+    configs = {cfg.id: cfg for cfg in scenario.hosts}
     hosts = {
-        cfg.id: _HostRuntime(
-            cfg, PeerHostState(host_id(cfg.id), random.Random(master.getrandbits(64)))
-        )
+        cfg.id: PeerHostState(host_id(cfg.id), random.Random(master.getrandbits(64)))
         for cfg in scenario.hosts
     }
+    visited: set[str] = set()
+    # a brainwash host's label -> the area it first forwarded, replayed on each revisit
+    snapshots: dict[str, AgentDataArea] = {}
     logs: dict[str, dict[bytes, list[bytes]]] = {label: {} for label in scenario.route_servers}
 
     trace: list[SimEvent] = []
@@ -500,8 +499,34 @@ def run_scenario(scenario: Scenario) -> SimReport:
     carrier = scenario.agent_server
     for label in scenario.route:
         area = deliver(carrier, label, "agent_transfer", area)
-        area = _apply_visit(hosts[label], area, logs, deliver, violations, params)
         carrier = label
+        cfg, state = configs[label], hosts[label]
+        for server_label, log in logs.items():
+            logged_agent, hid = deliver(label, server_label, "route_log", (area.agent, state.id))
+            log.setdefault(logged_agent, []).append(hid)
+        if label in snapshots:
+            # looks like any other visit to the route servers, then swaps the area
+            area = snapshots[label]
+            continue
+        first = label not in visited
+        visited.add(label)
+        if first:
+            area, note = apply_adversary(cfg.behavior, area, params)
+            if note:
+                violations.append({**note, "host": label})
+        action, payload = _intent_for(cfg, first)
+        area = host_handle_agent(state, area, action, payload, cfg.mode, params)
+        if first and cfg.behavior.kind == KEY_REUSE:
+            # the first visit appended the payload, so the last key held is the one just used
+            try:
+                protect_register(cfg.payload, 0, state.keystore[area.agent][-1], params)
+            except KeyConsumedError:
+                why = "second use of a one-time key rejected locally"
+                violations.append({"kind": "key_reuse_blocked", "host": label, "note": why})
+            else:
+                violations.append({"kind": "key_reuse_not_blocked", "host": label})
+        if first and cfg.behavior.kind == BRAINWASH_REPLAY:
+            snapshots[label] = area
     area = deliver(carrier, scenario.agent_server, "agent_transfer", area)
 
     answers = []
@@ -518,11 +543,11 @@ def run_scenario(scenario: Scenario) -> SimReport:
         collected: dict[bytes, tuple[OneTimeKey, ...]] = {}
         for hid in dict.fromkeys(merged):
             label = host_label(hid)
-            runtime = hosts[label]
+            state = hosts[label]
             requested = deliver(scenario.agent_server, label, "key_request", agent)
-            keys = host_send_keys(runtime.state, requested)
-            if runtime.config.behavior.kind == ORPHAN_KEY:
-                bogus_bits = runtime.state.rng.randbytes(params.signature_width_bits // 8)
+            keys = host_send_keys(state, requested)
+            if configs[label].behavior.kind == ORPHAN_KEY:
+                bogus_bits = state.rng.randbytes(params.signature_width_bits // 8)
                 keys += (OneTimeKey(ProtectionMode.SIGNATURE, bogus_bits),)
             response = deliver(label, scenario.agent_server, "key_response", keys)
             if response is not None:
@@ -531,55 +556,6 @@ def run_scenario(scenario: Scenario) -> SimReport:
 
     assertions = _trace_assertions(trace, scenario, violations)
     return SimReport(trace, verification, violations, assertions)
-
-
-def _apply_visit(
-    runtime: _HostRuntime,
-    area: AgentDataArea,
-    logs: dict[str, dict[bytes, list[bytes]]],
-    deliver,
-    violations: list[dict],
-    params: CipherParams,
-) -> AgentDataArea:
-    cfg = runtime.config
-    profile = cfg.behavior
-    state = runtime.state
-    first = runtime.visits == 0
-    runtime.visits += 1
-    for label, log in logs.items():
-        agent, hid = deliver(cfg.id, label, "route_log", (area.agent, state.id))
-        log.setdefault(agent, []).append(hid)
-
-    if profile.kind == BRAINWASH_REPLAY and not first:
-        # looks like any other visit to the route servers, then swaps the area
-        return runtime.snapshot
-
-    if first:
-        area, note = apply_adversary(profile, area, params)
-        if note:
-            violations.append({**note, "host": cfg.id})
-
-    action, payload = _intent_for(cfg, first)
-    area = host_handle_agent(state, area, action, payload, cfg.mode, params)
-
-    if profile.kind == KEY_REUSE and first:
-        # the first visit appended the payload, so the last key held is the one just used
-        try:
-            protect_register(cfg.payload, 0, state.keystore[area.agent][-1], params)
-        except KeyConsumedError:
-            violations.append(
-                {
-                    "kind": "key_reuse_blocked",
-                    "host": cfg.id,
-                    "note": "second use of a one-time key rejected locally",
-                }
-            )
-        else:
-            violations.append({"kind": "key_reuse_not_blocked", "host": cfg.id})
-
-    if profile.kind == BRAINWASH_REPLAY and first:
-        runtime.snapshot = area
-    return area
 
 
 def _trace_assertions(

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, every
+"""Every package module parses under the oldest Python that pyproject.toml
+declares, every name a package module imports is used in that module, every
 module-level function, class or constant is referred to somewhere in the
 package, and every parameter of a package function is read in its body.
 
@@ -11,6 +12,7 @@ exempt from the first check.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,27 @@ import pytest
 TESTS = Path(__file__).parent
 PACKAGE = TESTS.parent / "src" / "agentpad"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def minimum_python(pyproject: str) -> tuple[int, int]:
+    """The (major, minor) of ``requires-python = ">=X.Y"`` in ``pyproject``,
+    read with a regex because tomllib needs Python 3.11."""
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', pyproject, re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_parses_under_minimum_python(path):
+    version = minimum_python((TESTS.parent / "pyproject.toml").read_text())
+    ast.parse(path.read_text(), feature_version=version)
+
+
+def test_minimum_python_parse_refuses_newer_syntax():
+    assert minimum_python('name = "x"\nrequires-python = ">=3.10"\n') == (3, 10)
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
 
 
 def unused_imports(source: str) -> list[str]:

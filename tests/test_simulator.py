@@ -352,13 +352,18 @@ class TestAdversaries:
             return raw
 
         monkeypatch.setitem(MESSAGE_CODECS, "agent_transfer", (capture, decode_agent_transfer))
-        report = run_scenario(load_scenario(SCENARIO_DIR / "brainwash.json"))
-        senders = [e.src for e in report.trace if e.kind == "agent_transfer"]
-        assert senders == ["server", "mallory", "beta", "gamma", "delta", "mallory"]
-        # mallory's return image is the one it forwarded first, to the bit,
-        # though beta, gamma and delta each added a register in between
-        assert images[5] == images[1]
-        assert len(images[4]) > len(images[1])
+        scenario = load_scenario(SCENARIO_DIR / "brainwash.json")
+        three_visits = ("mallory", "beta", "mallory", "gamma", "delta", "mallory")
+        for route in (scenario.route, three_visits):
+            images.clear()
+            report = run_scenario(replace(scenario, route=route))
+            senders = [e.src for e in report.trace if e.kind == "agent_transfer"]
+            assert senders == ["server", *route]
+            # every image mallory forwards is the one it forwarded first, to
+            # the bit, though the other hosts added registers in between
+            forwarded = [image for image, src in zip(images, senders) if src == "mallory"]
+            assert forwarded == [images[1]] * route.count("mallory")
+            assert len(images[-2]) > len(images[1])
 
     def test_counterfeit_detected(self):
         report = run_scenario(load_scenario(SCENARIO_DIR / "counterfeit.json"))
@@ -377,12 +382,18 @@ class TestAdversaries:
         assert report.verification.reason is DiscardReason.ORPHAN_KEY
 
     def test_key_reuse_blocked_locally(self):
-        report = run_scenario(load_scenario(SCENARIO_DIR / "key_reuse.json"))
-        assert report.verification.verdict is Verdict.ACCEPT
-        assert report.assertions["key_reuse_blocked"]
-        kinds = [v["kind"] for v in report.policy_violations]
-        assert "key_reuse_blocked" in kinds
-        assert "key_reuse_not_blocked" not in kinds
+        scenario = load_scenario(SCENARIO_DIR / "key_reuse.json")
+        blocked = {
+            "kind": "key_reuse_blocked",
+            "host": "mallory",
+            "note": "second use of a one-time key rejected locally",
+        }
+        # the second protection is tried on the first visit only
+        for route in (scenario.route, ("alpha", "mallory", "alpha", "mallory")):
+            report = run_scenario(replace(scenario, route=route))
+            assert report.verification.verdict is Verdict.ACCEPT
+            assert report.assertions["key_reuse_blocked"]
+            assert report.policy_violations == [blocked]
 
     def test_adversary_target_missing_is_surfaced(self):
         raw = basic_raw()
@@ -391,8 +402,34 @@ class TestAdversaries:
             "target_index": 5,
             "forged_payload": "ff",
         }
-        report = run_scenario(scenario_from_dict(raw))
-        assert any(v["kind"] == "adversary_target_missing" for v in report.policy_violations)
+        missing = {"kind": "adversary_target_missing", "target_index": 5, "host": "alpha"}
+        # the profile acts on the first visit only, so a revisit adds no note
+        for route in (raw["route"], ["alpha", "beta", "gamma", "alpha"]):
+            report = run_scenario(scenario_from_dict({**raw, "route": route}))
+            assert report.policy_violations == [missing]
+
+    def test_erase_foreign_acts_on_first_visit_only(self, monkeypatch):
+        counts = []
+
+        def count(raw, params):
+            area = decode_agent_transfer(raw, params)
+            counts.append(len(area.registers))
+            return area
+
+        monkeypatch.setitem(MESSAGE_CODECS, "agent_transfer", (encode_agent_transfer, count))
+        raw = basic_raw()
+        raw["hosts"][1] = {
+            "id": "mallory",
+            "payload": "6d61",
+            "behavior": {"profile": "erase_foreign", "target_index": 0},
+            "revisit": "idle",
+        }
+        raw["hosts"][0]["revisit"] = "idle"
+        raw["route"] = ["alpha", "gamma", "mallory", "alpha", "mallory"]
+        run_scenario(scenario_from_dict(raw))
+        # mallory removes alpha's register and appends its own on its first
+        # visit; its idle revisit removes nothing more
+        assert counts == [0, 1, 2, 2, 2, 2]
 
 
 class TestGoldenReports:
