@@ -30,8 +30,10 @@ the plain XOR fold of the unmasked stored blocks. Checking such a register
 needs the schedule only to recover the plaintext and its padding.
 
 A signature key's digest-mask half never reaches the schedule, so the
-exhaustive signature-key count digests each candidate codeword once and then
-tests every candidate key against that digest.
+exhaustive signature-key count walks all candidate codewords through the
+schedule together, one block at a time, and then tests every digest mask
+against each codeword's digest with one scan in C over the claimed digests.
+Every candidate key is tested.
 
 Every key is used for exactly one register. Checking a register never
 consumes the key; protecting with it does.
@@ -481,30 +483,48 @@ def key_for_ciphertext(ciphertext: bytes, plaintext: bytes) -> bytes:
 def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:
     """The 2W-bit signature keys that validate ``reg``, as ints in ascending order.
 
-    A key is its codeword mask (high W bits) then its digest mask. The digest
-    mask never reaches the schedule, so each candidate codeword is digested
-    once, and every digest mask is then tested against that digest. All
-    candidates have 2W bits, which is the signature-mode key length for any
-    message, so no candidate fails the key-length test.
+    A key is its codeword mask c (high W bits) then its digest mask m. The
+    digest mask never reaches the schedule, so the 2^W candidate codewords
+    ``masked_cw ^ c`` walk the schedule together, one block at a time: each
+    block's W rotations are built once, each codeword XORs its rotation into
+    its own running digest, and every state then advances through a 2^W-entry
+    successor table. The claimed digests ``masked_mfd ^ m`` of all 2^W masks
+    form one octet string, which is scanned in full for each codeword's
+    digest, so every one of the 2^(2W) candidates is tested. The octet string
+    holds the claims only at W=8; the caller guards the width. All candidates
+    have 2W bits, which is the signature-mode key length for any message, so
+    no candidate fails the key-length test.
     """
     w = params.block_width_bits
-    data = pad_to_blocks(reg.data_field, params)
-    masked_cw, masked_mfd = reg.masked_cw, reg.masked_mfd
-    for c in range(1 << w):
-        digest = _digest(data, masked_cw ^ c, params)
-        for m in range(1 << w):
-            if masked_mfd ^ m == digest:
-                yield (c << w) | m
+    mask = params.word_mask
+    low = w - 1
+    top = w - params.rotation_field_bits
+    size = 1 << w
+    succ = [((s >> (s >> top)) | (s << (w - (s >> top)))) & mask for s in range(size)]
+    states = [reg.masked_cw ^ c for c in range(size)]
+    digests = [0] * size
+    for b in split_into_blocks(reg.data_field, params):
+        rots = [((b << l) | (b >> (w - l))) & mask for l in range(w)]
+        digests = [d ^ rots[s & low] for d, s in zip(digests, states)]
+        states = [succ[s] for s in states]
+    claims = bytes(reg.masked_mfd ^ m for m in range(size))
+    for c, d in enumerate(digests):
+        m = claims.find(d)
+        while m >= 0:
+            yield (c << w) | m
+            m = claims.find(d, m + 1)
 
 
 def enumerate_valid_signature_keys(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> int:
     """Count, by exhaustive test, the signature keys that validate a register.
 
-    Tests all 2^(2W) candidate keys against the check predicate, digesting
-    each candidate codeword once, so it is guarded to W=8, the only valid
-    width with an enumerable key space. The expected count is 2^W: each
-    candidate codeword pairs with exactly one digest mask, which is what
-    makes the real key indistinguishable.
+    Tests all 2^(2W) candidate keys against the check predicate: the 2^W
+    candidate codewords are digested together in one walk of the schedule,
+    and every digest mask is tested against each codeword's digest by a scan
+    of all 2^W claimed digests. It is guarded to W=8, the only valid width
+    with an enumerable key space. The expected count is 2^W: each candidate
+    codeword pairs with exactly one digest mask, which is what makes the real
+    key indistinguishable.
     """
     if params.block_width_bits > 8:
         raise WidthTooLargeError(

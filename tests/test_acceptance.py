@@ -77,20 +77,22 @@ def test_criterion_1_round_trip_correctness():
 
 
 def test_criterion_2_signature_key_count():
-    """At W=8 every register admits exactly 2^8 of the 2^16 signature keys."""
+    """At W=8 every register admits exactly 2^8 of the 2^16 signature keys, at 0-24 octets."""
     started = time.perf_counter()
-    rng = random.Random(0xC1A03)
-    for i in range(20):
-        message = rng.randbytes(rng.randint(1, 8))
-        cw = rng.getrandbits(8)
-        key = make_key(rng, ProtectionMode.SIGNATURE, len(message), P8)
-        genuine = OneTimeKey(ProtectionMode.SIGNATURE, key.bits)
-        reg = protect_register(message, cw, key, P8)
-        assert enumerate_valid_signature_keys(reg, P8) == 256, f"register {i}"
-        assert check_register(reg, genuine, P8).valid, "genuine key must be in the set"
+    # the second set runs to 24 blocks, so schedules that close a cycle are counted too
+    for seed, registers, shortest, longest in ((0xC1A03, 20, 1, 8), (0xC1A0B, 100, 0, 24)):
+        rng = random.Random(seed)
+        for i in range(registers):
+            message = rng.randbytes(rng.randint(shortest, longest))
+            cw = rng.getrandbits(8)
+            key = make_key(rng, ProtectionMode.SIGNATURE, len(message), P8)
+            genuine = OneTimeKey(ProtectionMode.SIGNATURE, key.bits)
+            reg = protect_register(message, cw, key, P8)
+            assert enumerate_valid_signature_keys(reg, P8) == 256, f"seed {seed:#x} register {i}"
+            assert check_register(reg, genuine, P8).valid, "genuine key must be in the set"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s"
-    print(f"\n[criterion 2] key count: 20 registers x 65536 keys -> 256 each in {elapsed:.2f}s  PASS")
+    print(f"\n[criterion 2] key count: 120 registers x 65536 keys -> 256 each in {elapsed:.2f}s  PASS")
 
 
 def test_criterion_3_key_construction():

@@ -551,6 +551,18 @@ class TestKeyForCiphertext:
         assert bytes(x ^ y for x, y in zip(c, b)) == a
 
 
+def signature_keys_reference(regs):
+    """Every W=8 signature key that validates all of ``regs``, ascending, by the oracle digest."""
+    keys = []
+    for c in range(256):
+        masks = set(range(256))
+        for reg in regs:
+            d = digest_reference(split_reference(reg.data_field, 8), reg.masked_cw ^ c, 8)
+            masks &= {m for m in range(256) if reg.masked_mfd ^ m == d}
+        keys += [(c << 8) | m for m in sorted(masks)]
+    return keys
+
+
 class TestEnumerateSignatureKeys:
     def test_count_is_two_to_the_width(self):
         rng = random.Random(12)
@@ -594,6 +606,36 @@ class TestEnumerateSignatureKeys:
             assert len(keys) == 256
             if genuine is not None:
                 assert genuine in keys
+
+    def test_column_walk_matches_digest_reference(self):
+        # arbitrary masked words over 0-40 octets: past 10 blocks _digest folds
+        # by period, the column walk steps every block
+        rng = random.Random(17)
+        for n in [0, 1, 10, 11, 40] + [rng.randint(0, 40) for _ in range(25)]:
+            reg = Register(
+                ProtectionMode.SIGNATURE, n, rng.randbytes(n), rng.getrandbits(8), rng.getrandbits(8)
+            )
+            assert list(_valid_signature_keys(reg, P8)) == signature_keys_reference([reg]), n
+
+    @pytest.mark.parametrize("seed, survivors", [(0, 4), (1, 3), (2, 1)])
+    def test_two_time_pad_collapses_the_key_set(self, seed, survivors):
+        # two registers protected under the same key octets, each with its own codeword
+        rng = random.Random(seed)
+        bits = rng.randbytes(2)
+        regs = [
+            protect_register(
+                rng.randbytes(rng.randint(1, 8)),
+                rng.getrandbits(8),
+                OneTimeKey(ProtectionMode.SIGNATURE, bits),
+                P8,
+            )
+            for _ in range(2)
+        ]
+        first, second = (_valid_signature_keys(reg, P8) for reg in regs)
+        common = sorted(set(first).intersection(second))
+        assert common == signature_keys_reference(regs)
+        assert int.from_bytes(bits, "big") in common
+        assert len(common) == survivors
 
     def test_width_guard(self):
         rng = random.Random(14)
