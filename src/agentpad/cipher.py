@@ -16,13 +16,14 @@ replay the identical schedule.
 
 Every codeword state is the codeword rotated right by a running offset in
 Z_W, so the schedule is a walk on at most W states: a preperiod of mu
-blocks, then a cycle of lam blocks, with mu + lam <= W. Past a switch point
-per width, set by timing the two paths, the digest XORs in the mu leading
-blocks one by one, XOR-folds the rest per cycle phase, and rotates only the
-lam folds; encryption-mode rotation rotates the mu leading blocks one by one
-and all blocks of each cycle phase together, so it passes over the data about
-once however many rotation amounts the codeword has. Shorter registers, and
-those whose walk closes no cycle, are walked state by state.
+blocks, then a cycle of lam blocks, with mu + lam <= W. The schedule's own
+period picks each kernel's path. A register whose walk repeats a state
+within its n blocks is folded: the digest XORs in the mu leading blocks one
+by one, XOR-folds the rest per cycle phase, and rotates only the lam folds;
+encryption-mode rotation rotates the mu leading blocks one by one and all
+blocks of each cycle phase together, so it passes over the data about once
+however many rotation amounts the codeword has. A register whose walk
+repeats no state within its n blocks is walked block by block.
 
 In encryption mode the stored blocks are the rotated ones, and derotation
 undoes each rotation exactly, so the digest of the derotated blocks equals
@@ -46,6 +47,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from struct import unpack
 from typing import Iterable, Iterator
 
 VALID_WIDTHS = (8, 16, 32, 64)
@@ -55,13 +57,6 @@ MAX_KEY_ATTEMPTS = 128
 # The array typecode whose items are one block wide, per block size in
 # octets. C type sizes vary by platform, so the code is chosen by itemsize.
 _WORD_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
-
-# The longest register, in blocks, that each kernel walks state by state, per
-# width W; longer ones take the period-folded path once their schedule closes
-# a cycle. Each is the largest block count at which the straight walk was
-# still as fast as the folded path, by paired timing over random codewords.
-_DIGEST_WALK = {8: 10, 16: 6, 32: 8, 64: 11}
-_ROTATE_WALK = {8: 13, 16: 10, 32: 10, 64: 18}
 
 
 class CipherError(Exception):
@@ -219,41 +214,39 @@ def required_key_octets(mode: ProtectionMode, message_octets: int, params: Ciphe
 
 def split_into_blocks(data: bytes, params: CipherParams) -> list[int]:
     """Pack octets big-endian into W-bit words, zero-padding the tail block."""
-    bb = params.block_bytes
-    if bb == 1:
-        return list(data)
     data = pad_to_blocks(data, params)
-    return [int.from_bytes(data[i : i + bb], "big") for i in range(0, len(data), bb)]
+    # ">" gives B, H, I and Q their standard sizes: 1, 2, 4 and 8 octets
+    code = "BHIQ"[params.block_bytes.bit_length() - 1]
+    return list(unpack(f">{len(data) // params.block_bytes}{code}", data))
 
 
-def _schedule(cw: int, n: int, params: CipherParams, walk: int) -> tuple[list[int], int]:
-    """Codeword states of the schedule for n blocks, folded by its period.
+def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
+    """Left-rotation amounts of the schedule for n blocks, folded by its period.
 
-    Block i is rotated left by the low r bits of its state. Returns
-    ``(states, mu)``: block i < mu takes ``states[i]``. When ``states`` is
-    longer than mu, the walk has closed a cycle of ``lam = len(states) - mu``
-    states and block i >= mu takes ``states[mu + (i - mu) % lam]``, with
-    mu + lam < n. Up to ``walk`` blocks are walked state by state (mu = n).
-    Longer sequences are walked until a state repeats or n states are
-    known. Past W blocks a state always repeats, within W + 1 steps: every
-    state is a rotation of cw, and a W-bit word has at most W of them.
+    Block i is rotated left by the low r bits of its codeword state. The
+    walk stops at the first repeated state or once n states are known, and
+    returns ``(amounts, mu)``. If no state repeats within n blocks, mu = n and
+    block i takes ``amounts[i]``. Otherwise the walk has closed a cycle of
+    ``lam = len(amounts) - mu`` states, with mu + lam < n: block i < mu takes
+    ``amounts[i]`` and block i >= mu takes ``amounts[mu + (i - mu) % lam]``.
+    A state always repeats within W + 1 steps: every state is a rotation of
+    cw, and a W-bit word has at most W of them.
     """
     w = params.block_width_bits
     mask = params.word_mask
+    low = w - 1
     top = w - params.rotation_field_bits
-    cycle = n > walk
-    first: dict[int, int] = {}  # state -> index of its first visit
     states = []
+    amounts = []
     c = cw
-    for i in range(min(n, w + 1) if cycle else n):
-        if cycle:
-            if c in first:
-                return states, first[c]
-            first[c] = i
+    for _ in range(n):
+        if c in states:
+            return amounts, states.index(c)
         states.append(c)
+        amounts.append(c & low)
         m = c >> top
         c = ((c >> m) | (c << (w - m))) & mask
-    return states, n
+    return amounts, n
 
 
 def _fold(x: int, chunks: int, chunk_bits: int) -> int:
@@ -279,20 +272,18 @@ def _digest(data: bytes, cw: int, params: CipherParams) -> int:
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
-    low = w - 1
     n = len(data) // bb
-    states, mu = _schedule(cw, n, params, _DIGEST_WALK[w])
+    amounts, mu = _schedule(cw, n, params)
     mfd = 0
-    for b, c in zip(split_into_blocks(data[: mu * bb], params), states):
-        l = c & low
+    for b, l in zip(split_into_blocks(data[: mu * bb], params), amounts):
         mfd ^= ((b << l) | (b >> (w - l))) & mask
-    lam = len(states) - mu
+    lam = len(amounts) - mu
     if lam:
         folds = _fold(int.from_bytes(data[mu * bb :], "big"), -(-(n - mu) // lam), lam * w)
         last = (n - 1 - mu) % lam  # the phase of the lowest word of folds
         for q in range(lam):
             f = (folds >> (q * w)) & mask
-            l = states[mu + (last - q) % lam] & low
+            l = amounts[mu + (last - q) % lam]
             mfd ^= ((f << l) | (f >> (w - l))) & mask
     return mfd
 
@@ -310,11 +301,10 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
-    low = w - 1
     n = len(data) // bb
-    states, mu = _schedule(cw, n, params, _ROTATE_WALK[w])
-    # right by l is left by (W - l) mod W
-    rots = [-c & low for c in states] if inverse else [c & low for c in states]
+    rots, mu = _schedule(cw, n, params)
+    if inverse:
+        rots = [-a % w for a in rots]  # right by l is left by (W - l) mod W
     out = 0
     for b, l in zip(split_into_blocks(data[: mu * bb], params), rots):
         out = (out << w) | ((b << l) | (b >> (w - l))) & mask

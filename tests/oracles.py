@@ -5,6 +5,8 @@ a bug in the package's bit twiddling cannot hide in its own mirror image.
 Kept import-free of the package on purpose.
 """
 
+from fractions import Fraction
+
 
 def rotl_bits(value: int, n: int, width: int) -> int:
     """Left-rotate by slicing the zero-padded binary string."""
@@ -181,3 +183,27 @@ def channel_reference(channels, default, a: str, b: str):
         if sorted(channel.endpoints) == sorted((a, b)):
             return channel.security
     return default
+
+
+def forgery_rate(reg, tampered, width) -> Fraction:
+    """The exact share of the keys consistent with ``reg`` under which
+    ``tampered`` validates, both in signature mode.
+
+    Each codeword mask c admits exactly one key consistent with ``reg``: c,
+    then the digest mask ``masked_mfd ^ digest``, where digest is that of
+    ``reg``'s data under the codeword ``masked_cw ^ c``. ``tampered``
+    validates under that key when its own digest under ``tampered.masked_cw
+    ^ c`` equals its ``masked_mfd`` unmasked by the same digest mask. A
+    signature key fits a message of any length, so no key fails on length.
+    Returns a Fraction over all 2^W consistent keys.
+    """
+    assert reg.mode.name == tampered.mode.name == "SIGNATURE"
+    blocks = split_reference(reg.data_field, width)
+    forged = split_reference(tampered.data_field, width)
+    hits = 0
+    for c in range(1 << width):
+        mfd_mask = reg.masked_mfd ^ digest_reference(blocks, reg.masked_cw ^ c, width)
+        digest = digest_reference(forged, tampered.masked_cw ^ c, width)
+        if digest == tampered.masked_mfd ^ mfd_mask:
+            hits += 1
+    return Fraction(hits, 1 << width)

@@ -5,6 +5,7 @@ import random
 from array import array
 from dataclasses import replace
 from functools import reduce
+from itertools import combinations
 from operator import xor
 from pathlib import Path
 
@@ -22,11 +23,10 @@ from agentpad.cipher import (
     ProtectionMode,
     Register,
     WidthTooLargeError,
-    _DIGEST_WALK,
-    _ROTATE_WALK,
     _WORD_TYPECODES,
     _digest,
     _rotate,
+    _schedule,
     _valid_signature_keys,
     check_register,
     enumerate_valid_signature_keys,
@@ -40,6 +40,7 @@ from agentpad.codec import encode_register, read_register
 from oracles import (
     derotated_blocks_reference,
     digest_reference,
+    forgery_rate,
     protect_reference,
     rotated_blocks_reference,
     rotl_bits,
@@ -176,6 +177,8 @@ class TestSplit:
         for n in range(0, 40):
             blocks = split_into_blocks(bytes(n), P64)
             assert len(blocks) == (n * 8 + 63) // 64
+            data = random.Random(n).randbytes(n)
+            assert split_into_blocks(data, P8) == list(data)
 
 
 class TestDigest:
@@ -254,7 +257,8 @@ class TestScheduleKernel:
 
 
 class TestPhaseRotation:
-    """The per-phase rotation path at the benchmark's 64 KiB, and the kernels' switch points."""
+    """The per-phase rotation path at the benchmark's 64 KiB, and both kernel
+    paths at every length."""
 
     CASES = ("preperiod", "one_phase", "partial_cycle", "zero_phase")
 
@@ -287,20 +291,42 @@ class TestPhaseRotation:
             derotated_blocks_reference(blocks, cw, width), params
         )
 
-    @pytest.mark.parametrize("width", [8, 16, 32, 64])
-    def test_kernels_match_oracles_around_their_switch(self, width):
-        params = CipherParams(width)
+    @staticmethod
+    def sweep(width):
+        """The symmetric codewords and 20 seeded random ones, and every length
+        0-24 plus the lengths around W and past two periods."""
         rng = random.Random(width)
         codewords = symmetric_codewords(width) + [rng.getrandbits(width) for _ in range(20)]
-        for walk in (_DIGEST_WALK[width], _ROTATE_WALK[width]):
-            for n in range(max(walk - 1, 0), walk + 2):
-                blocks = [rng.getrandbits(width) for _ in range(n)]
-                data = packed(blocks, params)
-                for cw in codewords:
-                    assert _digest(data, cw, params) == digest_reference(blocks, cw, width)
-                    rotated = packed(rotated_blocks_reference(blocks, cw, width), params)
-                    assert _rotate(data, cw, params) == rotated
-                    assert _rotate(rotated, cw, params, inverse=True) == data
+        return codewords, [*range(25), width - 1, width, width + 1, 2 * width + 2]
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_kernels_match_oracles_at_every_length(self, width):
+        # each length takes a prefix of one block list; the oracles' schedule
+        # restarts with every call, so their per-block outputs are prefixes too
+        params = CipherParams(width)
+        codewords, lengths = self.sweep(width)
+        rng = random.Random(-width)
+        blocks = [rng.getrandbits(width) for _ in range(max(lengths))]
+        for cw in codewords:
+            rotated = rotated_blocks_reference(blocks, cw, width)
+            derotated = derotated_blocks_reference(blocks, cw, width)
+            for n in lengths:
+                data = packed(blocks[:n], params)
+                assert _digest(data, cw, params) == digest_reference(blocks[:n], cw, width)
+                assert _rotate(data, cw, params) == packed(rotated[:n], params)
+                assert _rotate(data, cw, params, inverse=True) == packed(derotated[:n], params)
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_schedule_stops_at_its_first_repeat(self, width):
+        params = CipherParams(width)
+        codewords, lengths = self.sweep(width)
+        for cw in codewords:
+            mu, lam, amounts = schedule_shape(cw, width)
+            for n in lengths:
+                if n <= mu + lam:
+                    assert _schedule(cw, n, params) == (amounts[:n], n)
+                else:
+                    assert _schedule(cw, n, params) == (amounts, mu)
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_word_array_round_trips_the_octets(self, width):
@@ -578,8 +604,9 @@ class TestEnumerateSignatureKeys:
         assert enumerate_valid_signature_keys(reg, P8) == 256
 
     def test_key_list_matches_reference(self):
-        # 0, 1 and 8 octets take the straight walk, 9 and 24 the folded one;
-        # every register is enumerated under all 256 codewords
+        # every register is enumerated under all 256 codewords; at W=8 every
+        # walk repeats within 8 blocks, so 8, 9 and 24 octets are folded under
+        # each codeword, and 0 and 1 octets walked block by block
         rng = random.Random(16)
         cases = []
         for n in (0, 1, 8, 9, 24):
@@ -650,3 +677,52 @@ class TestEnumerateSignatureKeys:
         reg = protect_register(b"x", rng.getrandbits(8), key, P8)
         with pytest.raises(ValueError):
             enumerate_valid_signature_keys(reg, P8)
+
+
+class TestForgeryRates:
+    """Exact forgery rates at W=8, from ``forgery_rate`` in tests/oracles.py,
+    over the 256 keys consistent with each of three seeded signature registers."""
+
+    # per register, the number of keys under which flipping codeword bit 0..7
+    # still validates; the oracle and the package both give these counts
+    CODEWORD_FLIPS = [
+        [0, 0, 0, 160, 160, 32, 32, 32],
+        [0, 0, 72, 124, 136, 48, 38, 40],
+        [4, 0, 16, 76, 72, 22, 14, 18],
+    ]
+
+    @staticmethod
+    def registers():
+        """Signature registers of 2, 3 and 4 octets; at W=8 an octet is a block."""
+        rng = random.Random(18)
+        regs = []
+        for n in (2, 3, 4):
+            key = make_key(rng, ProtectionMode.SIGNATURE, n, P8)
+            regs.append(protect_register(rng.randbytes(n), rng.getrandbits(8), key, P8))
+        return regs
+
+    def test_one_bit_data_flips_never_validate(self):
+        for reg in self.registers():
+            for bit in range(8 * reg.length):
+                data = bytearray(reg.data_field)
+                data[bit // 8] ^= 0x80 >> bit % 8
+                assert forgery_rate(reg, replace(reg, data_field=bytes(data)), 8) == 0
+
+    def test_two_block_complements_always_validate(self):
+        for reg in self.registers():
+            for i, j in combinations(range(reg.length), 2):
+                data = bytearray(reg.data_field)
+                data[i] ^= 0xFF
+                data[j] ^= 0xFF
+                assert forgery_rate(reg, replace(reg, data_field=bytes(data)), 8) == 1
+
+    def test_codeword_flip_counts_match_the_package(self):
+        for reg, counts in zip(self.registers(), self.CODEWORD_FLIPS):
+            keys = [
+                OneTimeKey(ProtectionMode.SIGNATURE, k.to_bytes(2, "big"))
+                for k in _valid_signature_keys(reg, P8)
+            ]
+            for bit, expected in enumerate(counts):
+                tampered = replace(reg, masked_cw=reg.masked_cw ^ 1 << bit)
+                package = sum(check_register(tampered, key, P8).valid for key in keys)
+                assert forgery_rate(reg, tampered, 8) * 256 == package == expected
