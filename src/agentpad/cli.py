@@ -98,7 +98,7 @@ def cmd_protect(args) -> int:
         Path(args.key).write_bytes(encode_key(key))
         _write_octets(encode_register(register, params), args.out)
     except OSError as exc:
-        return _fail(str(exc))
+        return _fail(f"cannot write: {exc}")
     return 0
 
 
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
         try:
             Path(args.out).write_bytes(recovered)
         except OSError as exc:
-            return _fail(str(exc))
+            return _fail(f"cannot write: {exc}")
     print(f"valid: {register.length} plaintext octets")
     return 0
 

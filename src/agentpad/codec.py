@@ -1,4 +1,4 @@
-"""Agent data area model, bit-exact wire encoding and own-register lookup.
+"""Agent data area model, bit-exact wire encoding and key–register matching.
 
 Register layout (all integers big-endian):
 
@@ -172,14 +172,15 @@ def find_own_registers(
     keys: list[OneTimeKey],
     params: CipherParams = DEFAULT_PARAMS,
 ) -> list[tuple[int, int]]:
-    """All (register index, key index) pairs where the key validates the register.
+    """Every (register index, key index) pair that validates, in register order.
 
-    This is how a revisiting host relocates its own contributions without any
-    authorship marks on the wire.
+    Hosts and the agent server read this one match list: a revisiting host
+    finds its own registers with no authorship marks on the wire, and the
+    server reconciles the keys surrendered to it.
     """
-    pairs = []
-    for ki, key in enumerate(keys):
-        for ri, reg in enumerate(area.registers):
-            if check_register(reg, key, params).valid:
-                pairs.append((ri, ki))
-    return pairs
+    return [
+        (ri, ki)
+        for ri, reg in enumerate(area.registers)
+        for ki, key in enumerate(keys)
+        if check_register(reg, key, params).valid
+    ]

@@ -6,9 +6,10 @@ contributions with one-time keys, report each visit to the route servers,
 and surrender their keys only when the returned agent's server asks. The
 server then reconciles keys against registers: acceptance demands a perfect
 one-to-one matching plus route consistency, so erased registers surface as
-orphan keys and injected registers as unmatched ones. A route server is
-only its append-only log, a dict from agent id to the visiting host ids in
-arrival order.
+orphan keys and injected registers as unmatched ones. Hosts and the server
+read one match list, ``find_own_registers``, and the server decrypts only
+what it accepts. A route server is only its append-only log, a dict from
+agent id to the visiting host ids in arrival order.
 
 Each message is the plain value it carries, named by its trace kind. Wire
 layouts by kind (big-endian throughout; a counted list is a 4-octet item
@@ -184,7 +185,7 @@ def host_handle_agent(
     registers = list(area.registers)
     own = [] if action == "append" else find_own_registers(area, keys, params)
     if own:
-        reg_index, key_index = min(own)
+        reg_index, key_index = own[0]
     if action == "remove":
         if own:
             del registers[reg_index]
@@ -278,7 +279,7 @@ def server_reconcile(
     route: Sequence[bytes],
     params: CipherParams = DEFAULT_PARAMS,
 ) -> VerificationReport:
-    """Match every surrendered key against every register.
+    """Reconcile the surrendered keys on the hosts' match list, ``find_own_registers``.
 
     Accept requires a perfect one-to-one matching (each key validates exactly
     one register and vice versa) and that every host attributed through a key
@@ -286,22 +287,18 @@ def server_reconcile(
     to the keys it surrendered, and a register is attributed to the host whose
     key matches it. Hosts on the route with no keys are fine; they contributed
     nothing or removed their own register. Failures are verdicts, not errors,
-    reported with a fixed reason precedence.
+    reported with a fixed reason precedence. Only an accepted run's encrypted
+    registers are decrypted, each under its matched key.
     """
     flat: list[tuple[bytes, OneTimeKey]] = [
         (host, key) for host, keys in key_responses.items() for key in keys
     ]
     registers = area.registers
-    matches: list[tuple[int, int, bytes | None]] = []  # (key, register, plaintext)
-    for ki, (_, key) in enumerate(flat):
-        for ri, reg in enumerate(registers):
-            res = check_register(reg, key, params)
-            if res.valid:
-                matches.append((ki, ri, res.plaintext))
+    matches = find_own_registers(area, [key for _, key in flat], params)
 
-    if len({ki for ki, _, _ in matches}) < len(flat):
+    if len({ki for _, ki in matches}) < len(flat):
         return VerificationReport(Verdict.DISCARD, DiscardReason.ORPHAN_KEY)
-    if len({ri for _, ri, _ in matches}) < len(registers):
+    if len({ri for ri, _ in matches}) < len(registers):
         return VerificationReport(Verdict.DISCARD, DiscardReason.UNMATCHED_REGISTER)
     # every key and every register matched, so any surplus match is a second
     # match of some key or of some register
@@ -312,11 +309,10 @@ def server_reconcile(
     if any(host not in logged for host, _ in flat):
         return VerificationReport(Verdict.DISCARD, DiscardReason.ROUTE_MISMATCH)
 
-    matches.sort(key=lambda match: match[1])
-    attribution = tuple((ri, flat[ki][0]) for ki, ri, _ in matches)
+    attribution = tuple((ri, flat[ki][0]) for ri, ki in matches)
     plaintexts = {
-        ri: plain
-        for _, ri, plain in matches
+        ri: check_register(registers[ri], flat[ki][1], params).plaintext
+        for ri, ki in matches
         if registers[ri].mode is ProtectionMode.ENCRYPTION
     }
     return VerificationReport(Verdict.ACCEPT, None, attribution, plaintexts)

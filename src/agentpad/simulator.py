@@ -253,7 +253,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     try:
         params = CipherParams(**_object(raw.get("params", {}), "params", ("block_width_bits",)))
     except ValueError as exc:
-        raise InvalidScenarioError(f"bad params: {exc}") from None
+        raise InvalidScenarioError(f"params.block_width_bits: {exc}") from None
 
     hosts = []
     for i, h in enumerate(_array(raw, "hosts")):
@@ -360,7 +360,7 @@ def validate_scenario(scenario: Scenario) -> None:
             raise InvalidScenarioError(f"{where}.endpoints must name two participants")
         for j, end in enumerate(ends):
             if _check(end, str, f"{where}.endpoints[{j}]") not in everyone:
-                raise InvalidScenarioError(f"{where}: endpoint {end!r} is not a participant")
+                raise InvalidScenarioError(f"{where}.endpoints[{j}]: {end!r} is not a participant")
         _check(ch.security, ChannelSecurity, f"{where}.security")
         if ends[0] == ends[1]:
             raise InvalidScenarioError(f"{where}: channel from {ends[0]!r} to itself")

@@ -118,8 +118,23 @@ def protect_reference(message: bytes, cw: int, key: bytes, mode: str, width: int
     }
 
 
+def match_reference(registers, keys, check) -> list:
+    """Every (register index, key index) pair where the key validates the
+    register, in register order: the all-pairs loop, each pair checked in turn.
+
+    ``check(register, key)`` returns an object with ``valid``.
+    """
+    pairs = []
+    for ri, reg in enumerate(registers):
+        for ki, key in enumerate(keys):
+            if check(reg, key).valid:
+                pairs.append((ri, ki))
+    return pairs
+
+
 def reconcile_reference(registers, key_responses, route, check) -> tuple:
-    """All-pairs reconciliation, kept as the exactness oracle for the server.
+    """Reconciliation on the all-pairs match list, kept as the exactness
+    oracle for the server.
 
     ``check(register, key)`` returns an object with ``valid`` and
     ``plaintext``. Returns (verdict, reason, attribution, plaintexts) as
@@ -128,18 +143,9 @@ def reconcile_reference(registers, key_responses, route, check) -> tuple:
     Precedence: orphan key, unmatched register, duplicate match, route mismatch.
     """
     flat = [(host, key) for host, keys in key_responses.items() for key in keys]
-    key_matches = []
-    reg_matches = [[] for _ in registers]
-    results = {}
-    for ki, (_, key) in enumerate(flat):
-        hits = []
-        for ri, reg in enumerate(registers):
-            res = check(reg, key)
-            if res.valid:
-                hits.append(ri)
-                reg_matches[ri].append(ki)
-                results[(ki, ri)] = res.plaintext
-        key_matches.append(hits)
+    matches = match_reference(registers, [key for _, key in flat], check)
+    key_matches = [[ri for ri, kj in matches if kj == ki] for ki in range(len(flat))]
+    reg_matches = [[ki for rj, ki in matches if rj == ri] for ri in range(len(registers))]
 
     if any(not hits for hits in key_matches):
         return "discard", "orphan_key", (), {}
@@ -156,7 +162,7 @@ def reconcile_reference(registers, key_responses, route, check) -> tuple:
         ki = kis[0]
         attribution.append((ri, flat[ki][0]))
         if registers[ri].mode.name == "ENCRYPTION":
-            plaintexts[ri] = results[(ki, ri)]
+            plaintexts[ri] = check(registers[ri], flat[ki][1]).plaintext
     return "accept", None, tuple(attribution), plaintexts
 
 

@@ -182,6 +182,15 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"error: invalid scenario: {error}")
 
+    @pytest.mark.parametrize("document", ["[]", "3", '"x"', "null"])
+    def test_non_object_scenario_exits_one(self, document, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert main(["run", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid scenario: scenario file must hold a JSON object\n"
+
     def test_unwritable_report_exits_one(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "report.json"
         assert main(["run", str(SCENARIO_DIR / "honest.json"), "--report", str(out)]) == 1
@@ -287,6 +296,39 @@ class TestProtectVerify:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert not key.exists()
+
+    def assert_one_error(self, argv, prefix, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {prefix}: [Errno ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("unwritable", ["--key", "--out"])
+    def test_protect_unwritable_output_exits_one(self, unwritable, tmp_path, capsys):
+        src = tmp_path / "message.bin"
+        src.write_bytes(b"payload")
+        paths = {"--key": tmp_path / "key.bin", "--out": tmp_path / "register.bin"}
+        paths[unwritable] = tmp_path / "no-such-dir" / "file.bin"
+        argv = ["protect", str(src), "--seed", "1"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        self.assert_one_error(argv, "cannot write", capsys)
+        assert not paths[unwritable].exists()
+
+    def test_verify_unwritable_plaintext_exits_one(self, tmp_path, capsys):
+        reg, key = self.roundtrip(tmp_path, b"secret-value", "encrypt", 64)
+        out = tmp_path / "no-such-dir" / "plain.bin"
+        self.assert_one_error(
+            ["verify", str(reg), "--key", str(key), "--out", str(out)], "cannot write", capsys
+        )
+
+    @pytest.mark.parametrize("missing", ["register", "key"])
+    def test_verify_unreadable_input_exits_one(self, missing, tmp_path, capsys):
+        files = dict(zip(("register", "key"), self.roundtrip(tmp_path, b"data", "sign", 64)))
+        files[missing] = tmp_path / "nope"
+        argv = ["verify", str(files["register"]), "--key", str(files["key"])]
+        self.assert_one_error(argv, "cannot read", capsys)
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         assert main(["protect", str(tmp_path / "nope"), "--key", str(tmp_path / "k")]) == 1

@@ -22,6 +22,7 @@ from agentpad.cipher import (
 )
 from agentpad.codec import (
     AgentDataArea,
+    CodecError,
     TrailingGarbageError,
     TruncatedError,
     UnknownModeError,
@@ -35,7 +36,13 @@ from agentpad.codec import (
 )
 from agentpad.protocol import PeerHostState, host_handle_agent, host_id
 import independent_decoder
-from oracles import derotated_blocks_reference, digest_reference, split_reference, xor_reference
+from oracles import (
+    derotated_blocks_reference,
+    digest_reference,
+    match_reference,
+    split_reference,
+    xor_reference,
+)
 
 P8 = CipherParams(8)
 P64 = CipherParams(64)
@@ -302,6 +309,92 @@ class TestAreaWire:
             decode_area(b"\x00\x00", AGENT, P64)
 
 
+class TestIndependentAreaParser:
+    """The standalone decoder's area parser and command line against the codec."""
+
+    MODE_WORDS = {ProtectionMode.SIGNATURE: "sign", ProtectionMode.ENCRYPTION: "encrypt"}
+    # the first words of each parser error, and the codec error it stands for
+    ERRORS = {
+        "truncated": TruncatedError,
+        "trailing garbage": TrailingGarbageError,
+        "unknown mode": UnknownModeError,
+    }
+
+    def fields(self, reg, params):
+        bb = params.block_bytes
+        return {
+            "mode": self.MODE_WORDS[reg.mode],
+            "len": reg.length,
+            "data_field": reg.data_field.hex(),
+            "masked_cw": reg.masked_cw.to_bytes(bb, "big").hex(),
+            "masked_mfd": reg.masked_mfd.to_bytes(bb, "big").hex(),
+        }
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_seeded_areas_parse_to_their_registers(self, width):
+        params = CipherParams(width)
+        rng = random.Random(width)
+        for count in [0, 0, 1, 2, 3, 4, 5] * 3:
+            area = AgentDataArea(AGENT, tuple(random_register(rng, params) for _ in range(count)))
+            parsed = independent_decoder.parse_area(encode_area(area, params), width)
+            assert parsed == [self.fields(reg, params) for reg in area.registers]
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_errors_match_decode_area(self, width):
+        params = CipherParams(width)
+        rng = random.Random(100 + width)
+        area = AgentDataArea(AGENT, tuple(random_register(rng, params) for _ in range(3)))
+        raw = encode_area(area, params)
+        unknown_mode = raw[:4] + b"\x03" + raw[5:]
+        # every cut of the count and of each register, then trailing octets
+        images = [raw[:n] for n in range(len(raw))] + [raw + b"\x00", raw + b"!!", unknown_mode]
+        for image in images:
+            with pytest.raises(ValueError) as parsed:
+                independent_decoder.parse_area(image, width)
+            with pytest.raises(CodecError) as decoded:
+                decode_area(image, AGENT, params)
+            message = str(parsed.value)
+            expected = [error for words, error in self.ERRORS.items() if message.startswith(words)]
+            assert [type(decoded.value)] == expected, image.hex()
+
+    def run_main(self, tmp_path, capsys, raw, *flags):
+        path = tmp_path / "image.hex"
+        path.write_text(raw.hex())
+        code = independent_decoder.main([*flags, str(path)])
+        return code, capsys.readouterr()
+
+    def test_main_on_a_golden_register(self, tmp_path, capsys):
+        vector = GOLDEN["vectors"][3]
+        raw = bytes.fromhex(vector["register_hex"])
+        code, out = self.run_main(tmp_path, capsys, raw, "--width", str(vector["width"]))
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out) == {
+            "mode": vector["mode"],
+            "len": vector["len"],
+            "data_field": vector["data_field_hex"],
+            "masked_cw": vector["masked_cw_hex"],
+            "masked_mfd": vector["masked_mfd_hex"],
+        }
+
+    def test_main_on_an_area(self, tmp_path, capsys):
+        rng = random.Random(11)
+        area = AgentDataArea(AGENT, tuple(random_register(rng, P8) for _ in range(3)))
+        code, out = self.run_main(tmp_path, capsys, encode_area(area, P8), "--width", "8", "--area")
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out) == [self.fields(reg, P8) for reg in area.registers]
+
+    @pytest.mark.parametrize("area", [False, True])
+    def test_main_on_a_malformed_image_exits_one(self, area, tmp_path, capsys):
+        raw = encode_area(AgentDataArea(AGENT, (random_register(random.Random(12), P64),)), P64)
+        if not area:
+            raw = raw[4:]
+        flags = ["--area"] if area else []
+        code, out = self.run_main(tmp_path, capsys, raw[:-1], *flags)
+        assert (code, out.out) == (1, "")
+        assert out.err.startswith("error: truncated: ")
+        assert out.err.count("\n") == 1
+
+
 class TestKeyWire:
     @given(st.integers(0, 2**64 - 1), st.booleans())
     def test_round_trip(self, seed, encrypt):
@@ -429,7 +522,7 @@ class TestAreaEdits:
         area = AgentDataArea(AGENT, tuple(regs))
         assert find_own_registers(area, [keys[2]], P64) == [(2, 0)]
         assert find_own_registers(area, [], P64) == []
-        assert sorted(find_own_registers(area, keys, P64)) == [(i, i) for i in range(4)]
+        assert find_own_registers(area, keys, P64) == [(i, i) for i in range(4)]
 
     def test_find_own_registers_foreign_area_matches_nothing(self):
         rng = random.Random(9)
@@ -439,3 +532,42 @@ class TestAreaEdits:
         )
         mine = OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(16))
         assert find_own_registers(area, [mine], P64) == []
+
+
+class TestMatchList:
+    """find_own_registers against the all-pairs loop in tests/oracles.py."""
+
+    @staticmethod
+    def random_case(rng, params):
+        """Up to six registers of either mode, their keys shuffled among up to
+        23 random signature keys, with some keys dropped and some doubled."""
+        registers, keys = [], []
+        for _ in range(rng.randrange(7)):
+            mode = rng.choice(list(ProtectionMode))
+            reg, key = protected_register(rng, params, rng.randbytes(rng.randrange(6)), mode)
+            registers.append(reg)
+            if rng.random() < 0.9:
+                keys += [key] * (2 if rng.random() < 0.1 else 1)
+        octets = params.signature_width_bits // 8
+        keys += [
+            OneTimeKey(ProtectionMode.SIGNATURE, rng.randbytes(octets))
+            for _ in range(rng.randrange(24))
+        ]
+        rng.shuffle(keys)
+        return AgentDataArea(AGENT, tuple(registers)), keys
+
+    # at W=8 a random signature key validates a signature register with
+    # probability 1/256, so stray matches add to the doubled keys' cases
+    @pytest.mark.parametrize("width, doubly_matched", [(8, 53), (64, 45)])
+    def test_seeded_areas_match_reference(self, width, doubly_matched):
+        params = CipherParams(width)
+        cases = 0
+        for seed in range(200):
+            area, keys = self.random_case(random.Random(seed), params)
+            expected = match_reference(
+                area.registers, keys, lambda reg, key: check_register(reg, key, params)
+            )
+            assert find_own_registers(area, keys, params) == expected, f"seed {seed}"
+            matched = [ri for ri, _ in expected]
+            cases += len(set(matched)) < len(matched)
+        assert cases == doubly_matched

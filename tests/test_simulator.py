@@ -26,6 +26,8 @@ from agentpad.simulator import (
     ChannelSecurity,
     HostConfig,
     InvalidScenarioError,
+    SimEvent,
+    _trace_assertions,
     apply_adversary,
     enforce_channel_policy,
     load_scenario,
@@ -61,45 +63,85 @@ class TestScenarioLoading:
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             load_scenario(path)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"route": []},
-            {"route": ["nobody"]},
-            {"route_servers": []},
-            {"agent_server": ""},
-            {"agent_server": "alpha"},
+    # (overrides of basic_raw, the error naming the field at fault)
+    INVALID = [
+        ({"route": []}, "route must not be empty"),
+        ({"route": ["nobody"]}, "route[0] names an unknown host 'nobody'"),
+        ({"route_servers": []}, "route_servers must not be empty"),
+        ({"agent_server": ""}, "agent_server: host label must encode to 1..8 non-NUL octets: ''"),
+        ({"agent_server": "alpha"}, "agent server, route servers, and hosts must be distinct"),
+        (
             {"params": {"block_width_bits": 10}},
-            {"seed": -1},
-            {"policy_mode": "shrug"},
-            {"surprise": True},
-            {"hosts": [{"id": "alpha"}, {"id": "alpha"}], "route": ["alpha"]},
+            "params.block_width_bits: block width must be one of (8, 16, 32, 64), got 10",
+        ),
+        ({"seed": -1}, "seed must fit in 64 bits"),
+        ({"policy_mode": "shrug"}, "policy_mode must be one of record, abort, got 'shrug'"),
+        ({"surprise": True}, "scenario: unknown keys ['surprise']"),
+        ({"hosts": [{"id": "alpha"}, {"id": "alpha"}], "route": ["alpha"]}, "duplicate host ids"),
+        (
             {"hosts": [{"id": "a-very-long-name", "payload": "00"}], "route": ["a-very-long-name"]},
+            "hosts[0].id: host label must encode to 1..8 non-NUL octets: 'a-very-long-name'",
+        ),
+        (
             {"hosts": [{"id": "alpha", "payload": "zz"}], "route": ["alpha"]},
+            "hosts[0].payload: expected hex octets, got 'zz'",
+        ),
+        (
             {"hosts": [{"id": "alpha", "mode": "rot13", "payload": "00"}], "route": ["alpha"]},
+            "hosts[0].mode must be one of sign, encrypt, got 'rot13'",
+        ),
+        (
             {"hosts": [{"id": "alpha", "behavior": {"profile": "evil"}}], "route": ["alpha"]},
+            "hosts[0].behavior.profile must be one of honest, counterfeit, erase_foreign,"
+            " brainwash_replay, orphan_key, key_reuse, got 'evil'",
+        ),
+        (
             {"hosts": [{"id": "alpha", "behavior": {"profile": "counterfeit"}}], "route": ["alpha"]},
+            "hosts[0].behavior: counterfeit needs target_index and forged_payload",
+        ),
+        (
             {"hosts": [{"id": "alpha", "behavior": {"profile": "erase_foreign"}}], "route": ["alpha"]},
+            "hosts[0].behavior: erase_foreign needs target_index",
+        ),
+        (
             {"channels": [{"endpoints": ["alpha", "nobody"], "security": "secure"}]},
+            "channels[0].endpoints[1]: 'nobody' is not a participant",
+        ),
+        (
             {"channels": [{"endpoints": ["alpha", "server"], "security": "leaky"}]},
+            "channels[0].security must be one of secure, insecure, got 'leaky'",
+        ),
+        (
             {"channels": [{"endpoints": ["alpha", "alpha"], "security": "secure"}]},
+            "channels[0]: channel from 'alpha' to itself",
+        ),
+        (
             {
                 "channels": [
                     {"endpoints": ["alpha", "server"], "security": "secure"},
                     {"endpoints": ["server", "alpha"], "security": "insecure"},
                 ]
             },
+            "channels[1]: channel 'alpha'-'server' listed twice",
+        ),
+        (
             {
                 "channels": [
                     {"endpoints": ["alpha", "server"], "security": "insecure"},
                     {"endpoints": ["alpha", "server"], "security": "insecure"},
                 ]
             },
-        ],
+            "channels[1]: channel 'alpha'-'server' listed twice",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "overrides, message", INVALID, ids=[f"overrides{i}" for i in range(len(INVALID))]
     )
-    def test_invalid_scenarios_rejected(self, overrides):
-        with pytest.raises(InvalidScenarioError):
+    def test_invalid_scenarios_rejected(self, overrides, message):
+        with pytest.raises(InvalidScenarioError) as info:
             scenario_from_dict(basic_raw(**overrides))
+        assert str(info.value) == message
 
     def test_key_reuse_without_payload_refused(self, tmp_path):
         # its first visit would be idle, so no second protection is ever tried
@@ -109,6 +151,14 @@ class TestScenarioLoading:
         with pytest.raises(InvalidScenarioError) as info:
             load_scenario(path)
         assert str(info.value) == "hosts[0].behavior: key_reuse needs a payload to protect"
+
+    @pytest.mark.parametrize("document", ["[]", "3", '"x"', "null"])
+    def test_non_object_json_refused(self, document, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(document)
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == "scenario file must hold a JSON object"
 
     def test_bad_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -396,6 +446,13 @@ class TestAdversaries:
             assert report.assertions["key_reuse_blocked"]
             assert report.policy_violations == [blocked]
 
+    def test_unblocked_key_reuse_is_recorded(self, monkeypatch):
+        # a protection layer that let the consumed key through
+        monkeypatch.setattr("agentpad.simulator.protect_register", lambda *args: None)
+        report = run_scenario(load_scenario(SCENARIO_DIR / "key_reuse.json"))
+        assert report.policy_violations == [{"kind": "key_reuse_not_blocked", "host": "mallory"}]
+        assert report.assertions["key_reuse_blocked"] is False
+
     def test_adversary_target_missing_is_surfaced(self):
         raw = basic_raw()
         raw["hosts"][0]["behavior"] = {
@@ -473,6 +530,25 @@ class TestRouteLogging:
         assert answers == {"rs1": raw["route"], "rs2": raw["route"]}
         logs = [(e.src, e.dst) for e in report.trace if e.kind == "route_log"]
         assert logs == [(label, rs) for label in raw["route"] for rs in ("rs1", "rs2")]
+
+    def test_disagreeing_route_servers_discard_before_any_key_request(self, monkeypatch):
+        encode, decode = MESSAGE_CODECS["route_answer"]
+        decoded = []
+
+        def second_answer_altered(raw, params):
+            hosts = decode(raw, params)
+            decoded.append(hosts)
+            return hosts[:-1] if len(decoded) == 2 else hosts
+
+        monkeypatch.setitem(MESSAGE_CODECS, "route_answer", (encode, second_answer_altered))
+        report = run_scenario(scenario_from_dict(basic_raw(route_servers=["rs1", "rs2"])))
+        v = report.verification
+        assert (v.verdict, v.reason, v.attribution, v.plaintexts) == (
+            Verdict.DISCARD, DiscardReason.ROUTE_MISMATCH, (), {}
+        )
+        answers = [e.detail["hosts"] for e in report.trace if e.kind == "route_answer"]
+        assert answers == [HONEST_ROUTE, HONEST_ROUTE[:-1]]
+        assert [e for e in report.trace if e.kind == "key_request"] == []
 
 
 OTHER_AGENT = bytes(16)
@@ -674,6 +750,34 @@ class TestTraceInvariants:
             assert report.assertions["non_interactive"]
             assert report.assertions["key_release_after_return"]
             assert report.assertions["drain_once"]
+
+    # (kind, src, dst, keys in a key response) of each message, in time order
+    DISPATCH = ("agent_transfer", "server", "alpha", None)
+    RETURN = ("agent_transfer", "alpha", "server", None)
+    REQUEST = ("key_request", "server", "alpha", None)
+    RESPONSE = ("key_response", "alpha", "server", 1)
+    HAND_BUILT = {
+        "honest": ([DISPATCH, RETURN, REQUEST, RESPONSE], ()),
+        "empty_second_response": (
+            [DISPATCH, RETURN, REQUEST, RESPONSE, ("key_response", "alpha", "server", 0)], ()
+        ),
+        "server_host_message_in_flight": (
+            [DISPATCH, REQUEST, RETURN, REQUEST, RESPONSE], ("non_interactive",)
+        ),
+        "key_response_before_return": ([RESPONSE, DISPATCH, RETURN], ("key_release_after_return",)),
+        "two_nonempty_responses": ([DISPATCH, RETURN, REQUEST, RESPONSE, RESPONSE], ("drain_once",)),
+    }
+
+    @pytest.mark.parametrize("case", list(HAND_BUILT))
+    def test_checks_on_hand_built_traces(self, case):
+        messages, failing = self.HAND_BUILT[case]
+        trace = [
+            SimEvent(time, kind, src, dst, "secure", {} if keys is None else {"keys": keys})
+            for time, (kind, src, dst, keys) in enumerate(messages, 1)
+        ]
+        checks = ("non_interactive", "key_release_after_return", "drain_once")
+        expected = {check: check not in failing for check in checks}
+        assert _trace_assertions(trace, scenario_from_dict(basic_raw()), []) == expected
 
     def test_trace_times_strictly_increase(self):
         report = run_scenario(load_scenario(SCENARIO_DIR / "honest.json"))
