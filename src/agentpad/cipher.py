@@ -331,11 +331,6 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
     return head + words.tobytes()
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    n = len(a)
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
-
-
 def protect_register(
     message: bytes, cw: int, key: OneTimeKey, params: CipherParams = DEFAULT_PARAMS
 ) -> Register:
@@ -391,7 +386,8 @@ def check_register(
 
     Compatibility is judged purely by the key's bit length against the
     register's mode and length; any length-compatible bit string is a
-    candidate. Never consumes the key.
+    candidate. ``reg.data_field`` must hold whole blocks, as every register
+    built by protect_register or read_register does. Never consumes the key.
     """
     need = required_key_octets(reg.mode, reg.length, params)
     if len(key.bits) != need:
@@ -403,20 +399,15 @@ def check_register(
     claimed = reg.masked_mfd ^ (masks & params.word_mask)
 
     if reg.mode is ProtectionMode.SIGNATURE:
-        if _digest(pad_to_blocks(reg.data_field, params), cw, params) != claimed:
+        if _digest(reg.data_field, cw, params) != claimed:
             return _DIGEST_REJECT
         return _SIGNATURE_OK
 
     # The digest of the derotated blocks is the plain XOR fold of the
     # unmasked ones (each derotation undoes its rotation), so only the
-    # recovered plaintext needs the schedule. A short data field is
-    # zero-padded after unmasking, as pad_to_blocks would pad it.
+    # recovered plaintext needs the schedule.
     size = len(reg.data_field)
-    short = -size % bb
-    unmasked = (
-        int.from_bytes(reg.data_field, "big") ^ int.from_bytes(key.bits[:size], "big")
-    ) << (8 * short)
-    size += short
+    unmasked = int.from_bytes(reg.data_field, "big") ^ int.from_bytes(key.bits[:size], "big")
     if _fold(unmasked, size // bb, params.block_width_bits) != claimed:
         return _DIGEST_REJECT
     plain = _rotate(unmasked.to_bytes(size, "big"), cw, params, inverse=True)
@@ -467,7 +458,8 @@ def key_for_ciphertext(ciphertext: bytes, plaintext: bytes) -> bytes:
         raise LengthMismatchError(
             f"ciphertext ({len(ciphertext)}) and plaintext ({len(plaintext)}) differ"
         )
-    return _xor(ciphertext, plaintext)
+    x = int.from_bytes(ciphertext, "big") ^ int.from_bytes(plaintext, "big")
+    return x.to_bytes(len(ciphertext), "big")
 
 
 def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:

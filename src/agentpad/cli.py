@@ -194,7 +194,3 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"run": cmd_run, "protect": cmd_protect, "verify": cmd_verify, "prop3": cmd_prop3}
     return commands[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

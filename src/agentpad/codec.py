@@ -28,6 +28,7 @@ from .cipher import (
     ProtectionMode,
     Register,
     check_register,
+    padded_octets,
 )
 
 
@@ -113,7 +114,7 @@ def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS
     """Decode one register at ``offset``; returns it and the next offset."""
     bb = params.block_bytes
     mode, length = _read_header(raw, offset, "register")
-    data_octets = (length + bb - 1) // bb * bb  # padded_octets, inlined: one per register on the bus
+    data_octets = padded_octets(length, params)
     end = offset + 5 + data_octets + 2 * bb
     if len(raw) < end:
         raise TruncatedError(f"register body needs {end - offset} octets")

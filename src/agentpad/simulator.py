@@ -343,11 +343,15 @@ def validate_scenario(scenario: Scenario) -> None:
             raise InvalidScenarioError(f"{where}: key_reuse needs a payload to protect")
 
     labels = [cfg.id for cfg in scenario.hosts]
-    if len(set(labels)) != len(labels):
-        raise InvalidScenarioError("duplicate host ids")
-    everyone = {scenario.agent_server, *scenario.route_servers, *labels}
-    if len(everyone) != 1 + len(scenario.route_servers) + len(labels):
-        raise InvalidScenarioError("agent server, route servers, and hosts must be distinct")
+    everyone: dict[str, str] = {}  # each participant's label -> the field that names it
+    for where, label in (
+        ("agent_server", scenario.agent_server),
+        *((f"route_servers[{i}]", name) for i, name in enumerate(scenario.route_servers)),
+        *((f"hosts[{i}].id", name) for i, name in enumerate(labels)),
+    ):
+        if label in everyone:
+            raise InvalidScenarioError(f"{where}: {label!r} is also {everyone[label]}")
+        everyone[label] = where
     for i, label in enumerate(scenario.route):
         if _check(label, str, f"route[{i}]") not in labels:
             raise InvalidScenarioError(f"route[{i}] names an unknown host {label!r}")

@@ -32,6 +32,7 @@ from agentpad.cipher import (
     enumerate_valid_signature_keys,
     gen_key,
     key_for_ciphertext,
+    padded_octets,
     protect_register,
     required_key_octets,
     split_into_blocks,
@@ -388,6 +389,7 @@ class TestProtect:
         reg = protect_register(message, cw, key, params)
         ref = protect_reference(message, cw, key.bits, "encrypt" if encrypt else "sign", width)
         assert reg.length == ref["len"]
+        assert len(reg.data_field) == padded_octets(reg.length, params)
         assert reg.data_field == ref["data_field"]
         assert reg.masked_cw == ref["masked_cw"]
         assert reg.masked_mfd == ref["masked_mfd"]

@@ -465,6 +465,7 @@ class TestDecodeRobustness:
             reg = decode_register(raw, params)
         except CodecError:
             return
+        assert len(reg.data_field) == padded_octets(reg.length, params)
         assert encode_register(reg, params) == raw
 
     @given(st.binary(max_size=120), widths)
@@ -477,6 +478,8 @@ class TestDecodeRobustness:
             area = decode_area(raw, AGENT, params)
         except CodecError:
             return
+        for reg in area.registers:
+            assert len(reg.data_field) == padded_octets(reg.length, params)
         assert encode_area(area, params) == raw
 
     @given(st.binary(max_size=80))

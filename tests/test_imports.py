@@ -1,7 +1,8 @@
 """Every package module parses under the oldest Python that pyproject.toml
 declares, every name a package module imports is used in that module, every
 module-level function, class or constant is referred to somewhere in the
-package, and every parameter of a package function is read in its body.
+package, every parameter of a package function is read in its body, and only
+``__main__.py`` starts the program.
 
 Deletions tend to leave imports, dead definitions and parameters behind; this
 keeps them from piling up. ``__init__.py`` is exempt from these checks, and it
@@ -280,3 +281,44 @@ def test_detects_an_unread_parameter():
         "helper(params)",
         "<lambda>(v)",
     ]
+
+
+def main_guards(source: str) -> list[str]:
+    """Each module-level ``if __name__ == "__main__":`` block in ``source``."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+        and any(isinstance(c, ast.Constant) and c.value == "__main__" for c in node.test.comparators)
+    ]
+
+
+def test_only_main_module_starts_the_program():
+    # one way to start the CLI: ``python -m agentpad`` or the agentpad script
+    found = [
+        f"{path.name}: {entry}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__main__.py"
+        for entry in main_guards(path.read_text())
+    ]
+    assert found == []
+    assert len(main_guards((PACKAGE / "__main__.py").read_text())) == 1
+
+
+def test_detects_a_main_guard():
+    source = (
+        "import sys\n"
+        "if __name__ == '__main__':\n"
+        "    sys.exit(0)\n"
+        "def f():\n"
+        "    if __name__ == '__main__':\n"
+        "        pass\n"
+        "if __name__ == 'other':\n"
+        "    pass\n"
+        'if __name__ == "__main__":\n'
+        "    pass\n"
+    )
+    assert main_guards(source) == ["line 2", "line 9"]

@@ -46,7 +46,7 @@ from agentpad.protocol import (
     server_reconcile,
 )
 from agentpad.simulator import BehaviorProfile, HostConfig, Scenario, run_scenario
-from oracles import reconcile_reference
+from oracles import match_reference, reconcile_reference
 
 P64 = CipherParams(64)
 SIG = ProtectionMode.SIGNATURE
@@ -673,3 +673,54 @@ class TestReconcileMatchesReference:
         assert set(outcomes) == {
             "accept", "orphan_key", "unmatched_register", "duplicate_match", "route_mismatch"
         }, outcomes
+
+
+class TestHonestDiscardsAtW8:
+    """Honest runs at W=8 are discarded as duplicate matches at a pinned rate.
+
+    gen_key refuses a key that validates a register already in the area, but
+    a later host cannot see an earlier host's key, and a random key validates
+    a given signature register with probability 2^-W. Each of n hosts appends
+    once, so key i owns register i, and any other validating pair is a
+    stray match that discards the run.
+    """
+
+    P8 = CipherParams(8)
+    SEEDS = range(100)
+
+    def run(self, seed, hosts, mixed):
+        rng = random.Random(seed)
+        area = AgentDataArea(AGENT)
+        responses = {}
+        for i in range(hosts):
+            host = PeerHostState(host_id(f"h{i}"), rng)
+            mode = rng.choice(list(ProtectionMode)) if mixed else SIG
+            payload = rng.randbytes(rng.randrange(1, 9))
+            area = host_handle_agent(host, area, "append", payload, mode, self.P8)
+            responses[host.id] = list(host_send_keys(host, AGENT))
+        report = server_reconcile(
+            AgentServerState(rng), AGENT, area, responses, list(responses), self.P8
+        )
+        keys = [key for keys in responses.values() for key in keys]
+        pairs = match_reference(
+            area.registers, keys, lambda reg, key: check_register(reg, key, self.P8)
+        )
+        return report, [(r, k) for r, k in pairs if r != k]
+
+    # (hosts, modes drawn at random, runs in SEEDS with a stray match, counted
+    # from match_reference)
+    @pytest.mark.parametrize(
+        "hosts, mixed, discards", [(10, False, 14), (20, False, 45), (20, True, 15)]
+    )
+    def test_stray_matches_are_the_discards(self, hosts, mixed, discards):
+        stray_runs = 0
+        for seed in self.SEEDS:
+            report, stray = self.run(seed, hosts, mixed)
+            if stray:
+                stray_runs += 1
+                assert report.reason is DiscardReason.DUPLICATE_MATCH, f"seed {seed}"
+            else:
+                assert (report.verdict, report.reason) == (Verdict.ACCEPT, None), f"seed {seed}"
+            # the key was drawn before the register it also validates was added
+            assert all(r > k for r, k in stray), f"seed {seed}: {stray}"
+        assert stray_runs == discards

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agentpad.cipher import CipherParams, OneTimeKey, ProtectionMode
+from agentpad.cipher import CipherParams, OneTimeKey, ProtectionMode, padded_octets
 from agentpad.codec import AgentDataArea
 from agentpad.protocol import (
     MESSAGE_CODECS,
@@ -68,8 +68,9 @@ class TestScenarioLoading:
         ({"route": []}, "route must not be empty"),
         ({"route": ["nobody"]}, "route[0] names an unknown host 'nobody'"),
         ({"route_servers": []}, "route_servers must not be empty"),
+        ({"route_servers": ["rs1", "rs1"]}, "route_servers[1]: 'rs1' is also route_servers[0]"),
         ({"agent_server": ""}, "agent_server: host label must encode to 1..8 non-NUL octets: ''"),
-        ({"agent_server": "alpha"}, "agent server, route servers, and hosts must be distinct"),
+        ({"agent_server": "alpha"}, "hosts[0].id: 'alpha' is also agent_server"),
         (
             {"params": {"block_width_bits": 10}},
             "params.block_width_bits: block width must be one of (8, 16, 32, 64), got 10",
@@ -77,7 +78,10 @@ class TestScenarioLoading:
         ({"seed": -1}, "seed must fit in 64 bits"),
         ({"policy_mode": "shrug"}, "policy_mode must be one of record, abort, got 'shrug'"),
         ({"surprise": True}, "scenario: unknown keys ['surprise']"),
-        ({"hosts": [{"id": "alpha"}, {"id": "alpha"}], "route": ["alpha"]}, "duplicate host ids"),
+        (
+            {"hosts": [{"id": "alpha"}, {"id": "alpha"}], "route": ["alpha"]},
+            "hosts[1].id: 'alpha' is also hosts[0].id",
+        ),
         (
             {"hosts": [{"id": "a-very-long-name", "payload": "00"}], "route": ["a-very-long-name"]},
             "hosts[0].id: host label must encode to 1..8 non-NUL octets: 'a-very-long-name'",
@@ -618,6 +622,7 @@ class TestApplyAdversary:
         assert note is None
         forged = area.registers[0]
         assert forged.length == 7
+        assert len(forged.data_field) == padded_octets(forged.length, P64)
         assert forged.data_field[:7] == b"forged!"
         assert (forged.masked_cw, forged.masked_mfd) == (self.reg.masked_cw, self.reg.masked_mfd)
 
