@@ -1,6 +1,7 @@
 """Agent data area model, bit-exact wire encoding and key–register matching.
 
-Register layout (all integers big-endian):
+Every octet the parties exchange is laid out here. Register layout (all
+integers big-endian):
 
     mode        1 octet   (0x01 signature, 0x02 encryption)
     len         4 octets  (plaintext octet count)
@@ -13,6 +14,20 @@ a 4-octet item count, then the registers. A key image is a mode octet, a
 4-octet bit length, and the key octets. Neither registers nor keys carry a
 host identifier: authorship is established only by key matching at the agent
 server, which knows which host surrendered each key.
+
+Each bus message is the plain value it carries, named by its trace kind.
+Message layouts by kind:
+
+    agent_transfer  AgentDataArea: agent id (16) + area image
+    route_log       (agent id, host id): agent id (16) + host id (8)
+    route_query     agent id (16)
+    route_answer    tuple of host ids: counted list of host ids (8 each)
+    key_request     agent id (16)
+    key_response    tuple of OneTimeKey: counted list of key images
+
+``MESSAGE_CODECS`` maps each kind to its encoder and decoder. Every codec
+takes ``(value, params)``, so the simulator's bus sends every message
+through it the same way.
 """
 
 from __future__ import annotations
@@ -56,6 +71,9 @@ class AgentDataArea:
     registers: tuple[Register, ...] = ()
 
 
+HOST_ID_OCTETS = 8
+AGENT_ID_OCTETS = 16
+
 _HEADER = struct.Struct(">BI")
 _MODES = {mode.value: mode for mode in ProtectionMode}
 
@@ -75,7 +93,7 @@ def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, in
     return mode, count
 
 
-def read_exact(raw: bytes, octets: int, what: str) -> bytes:
+def _read_exact(raw: bytes, octets: int, what: str) -> bytes:
     """``raw`` itself, when it is a fixed-size image of exactly ``octets``."""
     if len(raw) != octets:
         error = TruncatedError if len(raw) < octets else TrailingGarbageError
@@ -83,12 +101,12 @@ def read_exact(raw: bytes, octets: int, what: str) -> bytes:
     return raw
 
 
-def write_counted(images: Sequence[bytes]) -> bytes:
+def _write_counted(images: Sequence[bytes]) -> bytes:
     """A counted list: the 4-octet item count, then the item images."""
     return struct.pack(">I", len(images)) + b"".join(images)
 
 
-def read_counted(raw: bytes, read_item: Callable[..., tuple[Any, int]], what: str, *args) -> tuple:
+def _read_counted(raw: bytes, read_item: Callable[..., tuple[Any, int]], what: str, *args) -> tuple:
     """Every item of the counted list that fills ``raw`` exactly;
     ``read_item(raw, offset, *args)`` returns one item and the next offset."""
     if len(raw) < 4:
@@ -140,18 +158,18 @@ def decode_register(raw: bytes, params: CipherParams = DEFAULT_PARAMS) -> Regist
 
 
 def encode_area(area: AgentDataArea, params: CipherParams = DEFAULT_PARAMS) -> bytes:
-    return write_counted([encode_register(reg, params) for reg in area.registers])
+    return _write_counted([encode_register(reg, params) for reg in area.registers])
 
 
 def decode_area(raw: bytes, agent: bytes, params: CipherParams = DEFAULT_PARAMS) -> AgentDataArea:
-    return AgentDataArea(agent, read_counted(raw, read_register, "area", params))
+    return AgentDataArea(agent, _read_counted(raw, read_register, "area", params))
 
 
 def encode_key(key: OneTimeKey) -> bytes:
     return _write_header(key.mode, key.bit_length()) + key.bits
 
 
-def read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
+def _read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
     mode, bit_length = _read_header(raw, offset, "key")
     if bit_length % 8:
         raise CodecError("key bit length is not a whole number of octets")
@@ -162,10 +180,72 @@ def read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
 
 
 def decode_key(raw: bytes) -> OneTimeKey:
-    key, end = read_key(raw, 0)
+    key, end = _read_key(raw, 0)
     if end != len(raw):
         raise TrailingGarbageError(f"{len(raw) - end} octets after key")
     return key
+
+
+# --- bus messages ------------------------------------------------------------
+
+
+def encode_agent_transfer(area: AgentDataArea, params: CipherParams) -> bytes:
+    return area.agent + encode_area(area, params)
+
+
+def decode_agent_transfer(raw: bytes, params: CipherParams) -> AgentDataArea:
+    if len(raw) < AGENT_ID_OCTETS:
+        raise TruncatedError("agent transfer: agent id incomplete")
+    return decode_area(raw[AGENT_ID_OCTETS:], raw[:AGENT_ID_OCTETS], params)
+
+
+def encode_route_log_entry(entry: tuple[bytes, bytes], params: CipherParams) -> bytes:
+    agent, host = entry
+    return agent + host
+
+
+def decode_route_log_entry(raw: bytes, params: CipherParams) -> tuple[bytes, bytes]:
+    _read_exact(raw, AGENT_ID_OCTETS + HOST_ID_OCTETS, "route_log")
+    return raw[:AGENT_ID_OCTETS], raw[AGENT_ID_OCTETS:]
+
+
+def encode_agent_id(agent: bytes, params: CipherParams) -> bytes:
+    return agent
+
+
+def decode_agent_id(raw: bytes, params: CipherParams) -> bytes:
+    return _read_exact(raw, AGENT_ID_OCTETS, "agent id")
+
+
+def _read_host(raw: bytes, offset: int) -> tuple[bytes, int]:
+    end = offset + HOST_ID_OCTETS
+    return _read_exact(raw[offset:end], HOST_ID_OCTETS, "route_answer host id"), end
+
+
+def encode_route_answer(hosts: tuple[bytes, ...], params: CipherParams) -> bytes:
+    return _write_counted(hosts)
+
+
+def decode_route_answer(raw: bytes, params: CipherParams) -> tuple[bytes, ...]:
+    return _read_counted(raw, _read_host, "route_answer")
+
+
+def encode_key_response(keys: tuple[OneTimeKey, ...], params: CipherParams) -> bytes:
+    return _write_counted([encode_key(key) for key in keys])
+
+
+def decode_key_response(raw: bytes, params: CipherParams) -> tuple[OneTimeKey, ...]:
+    return _read_counted(raw, _read_key, "key_response")
+
+
+MESSAGE_CODECS: dict[str, tuple[Callable[..., bytes], Callable[..., Any]]] = {
+    "agent_transfer": (encode_agent_transfer, decode_agent_transfer),
+    "route_log": (encode_route_log_entry, decode_route_log_entry),
+    "route_query": (encode_agent_id, decode_agent_id),
+    "route_answer": (encode_route_answer, decode_route_answer),
+    "key_request": (encode_agent_id, decode_agent_id),
+    "key_response": (encode_key_response, decode_key_response),
+}
 
 
 def find_own_registers(

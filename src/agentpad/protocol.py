@@ -1,4 +1,4 @@
-"""Role state machines: peer host, agent server, route server.
+"""Role state machines: peer host and agent server.
 
 The protocol is non-interactive: after dispatch the agent server exchanges
 nothing with peer hosts until the agent returns. Hosts protect their own
@@ -8,32 +8,16 @@ server then reconciles keys against registers: acceptance demands a perfect
 one-to-one matching plus route consistency, so erased registers surface as
 orphan keys and injected registers as unmatched ones. Hosts and the server
 read one match list, ``find_own_registers``, and the server decrypts only
-what it accepts. A route server is only its append-only log, a dict from
-agent id to the visiting host ids in arrival order.
-
-Each message is the plain value it carries, named by its trace kind. Wire
-layouts by kind (big-endian throughout; a counted list is a 4-octet item
-count followed by the items):
-
-    agent_transfer  AgentDataArea: agent id (16) + area image (counted list
-                    of registers)
-    route_log       (agent id, host id): agent id (16) + host id (8)
-    route_query     agent id (16)
-    route_answer    tuple of host ids: counted list of host ids (8 each)
-    key_request     agent id (16)
-    key_response    tuple of OneTimeKey: counted list of keys, each a mode
-                    octet, bit length (4) and octets
-
-``MESSAGE_CODECS`` maps each kind to its encoder and decoder. Every codec
-takes ``(value, params)``, so the simulator's bus sends every message
-through it the same way.
+what it accepts. A route server has no code in this module: it is a log
+dict that the simulator keeps, from agent id to the visiting host ids in
+arrival order. Every message's wire image lives in ``codec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .cipher import (
     CipherParams,
@@ -44,21 +28,9 @@ from .cipher import (
     gen_key,
     protect_register,
 )
-from .codec import (
-    AgentDataArea,
-    TruncatedError,
-    decode_area,
-    encode_area,
-    encode_key,
-    find_own_registers,
-    read_counted,
-    read_exact,
-    read_key,
-    write_counted,
-)
+from .codec import AGENT_ID_OCTETS, HOST_ID_OCTETS, AgentDataArea, find_own_registers
 
-HOST_ID_OCTETS = 8
-AGENT_ID_OCTETS = 16
+VISIT_ACTIONS = ("edit", "remove", "append", "idle")
 
 
 def host_id(label: str) -> bytes:
@@ -74,68 +46,6 @@ def host_id(label: str) -> bytes:
 
 def host_label(hid: bytes) -> str:
     return hid.rstrip(b"\x00").decode()
-
-
-# --- protocol messages -----------------------------------------------------
-
-
-def encode_agent_transfer(area: AgentDataArea, params: CipherParams) -> bytes:
-    return area.agent + encode_area(area, params)
-
-
-def decode_agent_transfer(raw: bytes, params: CipherParams) -> AgentDataArea:
-    if len(raw) < AGENT_ID_OCTETS:
-        raise TruncatedError("agent transfer: agent id incomplete")
-    return decode_area(raw[AGENT_ID_OCTETS:], raw[:AGENT_ID_OCTETS], params)
-
-
-def encode_route_log_entry(entry: tuple[bytes, bytes], params: CipherParams) -> bytes:
-    agent, host = entry
-    return agent + host
-
-
-def decode_route_log_entry(raw: bytes, params: CipherParams) -> tuple[bytes, bytes]:
-    read_exact(raw, AGENT_ID_OCTETS + HOST_ID_OCTETS, "route_log")
-    return raw[:AGENT_ID_OCTETS], raw[AGENT_ID_OCTETS:]
-
-
-def encode_agent_id(agent: bytes, params: CipherParams) -> bytes:
-    return agent
-
-
-def decode_agent_id(raw: bytes, params: CipherParams) -> bytes:
-    return read_exact(raw, AGENT_ID_OCTETS, "agent id")
-
-
-def _read_host(raw: bytes, offset: int) -> tuple[bytes, int]:
-    end = offset + HOST_ID_OCTETS
-    return read_exact(raw[offset:end], HOST_ID_OCTETS, "route_answer host id"), end
-
-
-def encode_route_answer(hosts: tuple[bytes, ...], params: CipherParams) -> bytes:
-    return write_counted(hosts)
-
-
-def decode_route_answer(raw: bytes, params: CipherParams) -> tuple[bytes, ...]:
-    return read_counted(raw, _read_host, "route_answer")
-
-
-def encode_key_response(keys: tuple[OneTimeKey, ...], params: CipherParams) -> bytes:
-    return write_counted([encode_key(key) for key in keys])
-
-
-def decode_key_response(raw: bytes, params: CipherParams) -> tuple[OneTimeKey, ...]:
-    return read_counted(raw, read_key, "key_response")
-
-
-MESSAGE_CODECS: dict[str, tuple[Callable[..., bytes], Callable[..., Any]]] = {
-    "agent_transfer": (encode_agent_transfer, decode_agent_transfer),
-    "route_log": (encode_route_log_entry, decode_route_log_entry),
-    "route_query": (encode_agent_id, decode_agent_id),
-    "route_answer": (encode_route_answer, decode_route_answer),
-    "key_request": (encode_agent_id, decode_agent_id),
-    "key_response": (encode_key_response, decode_key_response),
-}
 
 
 # --- peer host ---------------------------------------------------------------
@@ -175,10 +85,10 @@ def host_handle_agent(
     registers by its keys, and every other register stays as it was.
     Reporting the visit to the route servers is the caller's job.
     """
+    if action not in VISIT_ACTIONS:
+        raise ValueError(f"unknown visit action {action!r}")
     if action == "idle":
         return area
-    if action not in ("append", "edit", "remove"):
-        raise ValueError(f"unknown visit action {action!r}")
     if action != "remove" and payload is None:
         raise ValueError(f"{action} needs a payload")
     keys = host.keystore.setdefault(area.agent, [])

@@ -54,9 +54,9 @@ from .cipher import (
     pad_to_blocks,
     protect_register,
 )
-from .codec import AgentDataArea
+from .codec import MESSAGE_CODECS, AgentDataArea
 from .protocol import (
-    MESSAGE_CODECS,
+    VISIT_ACTIONS,
     AgentServerState,
     PeerHostState,
     Verdict,
@@ -106,7 +106,6 @@ PROFILE_KINDS = (HONEST, COUNTERFEIT, ERASE_FOREIGN, BRAINWASH_REPLAY, ORPHAN_KE
 
 MODE_WORDS = {"sign": ProtectionMode.SIGNATURE, "encrypt": ProtectionMode.ENCRYPTION}
 SECURITY_WORDS = {security.value: security for security in ChannelSecurity}
-REVISIT_ACTIONS = ("edit", "remove", "append", "idle")
 POLICY_MODES = ("record", "abort")
 
 
@@ -329,7 +328,7 @@ def validate_scenario(scenario: Scenario) -> None:
         _label(cfg.id, f"{where}.id")
         _check(cfg.payload, bytes, f"{where}.payload", optional=True)
         _check(cfg.mode, ProtectionMode, f"{where}.mode")
-        _one_of(cfg.revisit, REVISIT_ACTIONS, f"{where}.revisit")
+        _one_of(cfg.revisit, VISIT_ACTIONS, f"{where}.revisit")
         where += ".behavior"
         profile = _check(cfg.behavior, BehaviorProfile, where)
         kind = _one_of(profile.kind, PROFILE_KINDS, f"{where}.profile")

@@ -213,3 +213,40 @@ def forgery_rate(reg, tampered, width) -> Fraction:
         if digest == tampered.masked_mfd ^ mfd_mask:
             hits += 1
     return Fraction(hits, 1 << width)
+
+
+def data_tamper_verdicts(deltas, length, width) -> list:
+    """For each of ``deltas``, whether an encryption register of ``length``
+    octets still validates under each codeword 0 .. 2^W - 1 once that delta
+    is XORed into its data field.
+
+    The key's pad cancels when the data field is unmasked, and the fold and
+    the derotation are both linear. So the register validates iff the delta's
+    blocks fold to zero and the delta, derotated under the codeword, is zero
+    past ``length``; neither the message nor the key plays a part. Padding is
+    shorter than a block, so only the last block's rotation matters: the
+    codewords are grouped by it, one derotation per group and delta.
+    """
+    block_bytes = width // 8
+    split = [split_reference(delta, width) for delta in deltas]
+    folds = []
+    for blocks in split:
+        fold = 0
+        for b in blocks:
+            fold ^= b
+        folds.append(fold)
+    # a lone 1 in the last block, derotated, names that block's rotation
+    probe = [0] * (len(split[0]) - 1) + [1]
+    by_rotation = {}
+    verdicts = [[] for _ in deltas]
+    for cw in range(1 << width):
+        rotation = derotated_blocks_reference(probe, cw, width)[-1]
+        if rotation not in by_rotation:
+            by_rotation[rotation] = []
+            for blocks, fold in zip(split, folds):
+                derotated = derotated_blocks_reference(blocks, cw, width)
+                plain = b"".join(b.to_bytes(block_bytes, "big") for b in derotated)
+                by_rotation[rotation].append(fold == 0 and not any(plain[length:]))
+        for out, valid in zip(verdicts, by_rotation[rotation]):
+            out.append(valid)
+    return verdicts

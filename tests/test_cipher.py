@@ -39,6 +39,7 @@ from agentpad.cipher import (
 )
 from agentpad.codec import encode_register, read_register
 from oracles import (
+    data_tamper_verdicts,
     derotated_blocks_reference,
     digest_reference,
     forgery_rate,
@@ -728,3 +729,54 @@ class TestForgeryRates:
                 tampered = replace(reg, masked_cw=reg.masked_cw ^ 1 << bit)
                 package = sum(check_register(tampered, key, P8).valid for key in keys)
                 assert forgery_rate(reg, tampered, 8) * 256 == package == expected
+
+
+class TestEncryptionForgeryRates:
+    """Exact rates of data-field tampers on encryption registers, from
+    ``data_tamper_verdicts`` in tests/oracles.py: a delta XORed into the data
+    field validates under a codeword iff it folds to zero and, derotated under
+    that codeword, is zero in the padding. Message and pad play no part."""
+
+    # a 5-octet register at W=16 holds three blocks and one padding octet;
+    # a word d XORed into blocks 0 and 2 folds to zero, so the last block's
+    # rotation alone decides. The counts are the oracle's.
+    W16_COUNTS = {0x0100: 36672, 0x8001: 25056}
+
+    @staticmethod
+    def package_verdicts(deltas, length, params):
+        """Per delta, ``check_register``'s verdict under each codeword on a
+        register of ``length`` zero octets with that delta XORed into its data
+        field. The zero message rotates and folds to zero under every codeword,
+        so its registers under one key differ only in the masked codeword."""
+        key = make_key(random.Random(23), ProtectionMode.ENCRYPTION, length, params)
+        base = protect_register(bytes(length), 0, key, params)
+        tampered = [bytes(a ^ b for a, b in zip(base.data_field, delta)) for delta in deltas]
+        verdicts = [[] for _ in deltas]
+        for cw in range(1 << params.block_width_bits):
+            masked_cw = base.masked_cw ^ cw
+            for out, data in zip(verdicts, tampered):
+                reg = Register(base.mode, length, data, masked_cw, base.masked_mfd)
+                out.append(check_register(reg, key, params).valid)
+        return verdicts
+
+    def test_w8_registers_have_no_padding_so_the_fold_alone_decides(self):
+        # a W=8 block is one octet: a delta that folds to zero validates under
+        # all 256 codewords, any other under none
+        deltas = [bytes.fromhex(h) for h in ("5a5a5a5a", "0f3c3300", "01000000", "ff00fe00")]
+        expected = [[True] * 256, [True] * 256, [False] * 256, [False] * 256]
+        assert self.package_verdicts(deltas, 4, P8) == data_tamper_verdicts(deltas, 4, 8) == expected
+
+    def test_w16_counts_match_the_package_codeword_by_codeword(self):
+        p16 = CipherParams(16)
+        deltas = [d.to_bytes(2, "big") + bytes(2) + d.to_bytes(2, "big") for d in self.W16_COUNTS]
+        oracle = data_tamper_verdicts(deltas, 5, 16)
+        assert [sum(verdicts) for verdicts in oracle] == list(self.W16_COUNTS.values())
+        assert self.package_verdicts(deltas, 5, p16) == oracle
+        # a random message under a random key gets the same verdict
+        rng = random.Random(24)
+        for cw in rng.sample(range(1 << 16), 64):
+            key = make_key(rng, ProtectionMode.ENCRYPTION, 5, p16)
+            reg = protect_register(rng.randbytes(5), cw, key, p16)
+            for delta, verdicts in zip(deltas, oracle):
+                data = bytes(a ^ b for a, b in zip(reg.data_field, delta))
+                assert check_register(replace(reg, data_field=data), key, p16).valid == verdicts[cw]

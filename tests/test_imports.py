@@ -1,8 +1,10 @@
 """Every package module parses under the oldest Python that pyproject.toml
 declares, every name a package module imports is used in that module, every
 module-level function, class or constant is referred to somewhere in the
-package, every parameter of a package function is read in its body, and only
-``__main__.py`` starts the program.
+package, every parameter of a package function is read in its body, only
+``codec.py`` defines wire layouts (``encode_*`` and ``decode_*`` functions,
+``MESSAGE_CODECS`` and ``*_OCTETS`` sizes), and only ``__main__.py`` starts
+the program.
 
 Deletions tend to leave imports, dead definitions and parameters behind; this
 keeps them from piling up. ``__init__.py`` is exempt from these checks, and it
@@ -161,6 +163,51 @@ def test_detects_an_unreferenced_definition():
         "a.py: Dead",
         "a.py: DEAD_CONSTANT",
         "a.py: UNUSED",
+    ]
+
+
+WIRE_LAYOUT = re.compile(r"(encode|decode)_\w+|MESSAGE_CODECS|\w+_OCTETS")
+
+
+def wire_layouts_outside_codec(sources: dict[str, str]) -> list[str]:
+    """Module-level names in ``sources`` outside ``codec.py`` that define a
+    wire layout: an ``encode_*`` or ``decode_*`` function, ``MESSAGE_CODECS``
+    or a ``*_OCTETS`` size; ``sources`` maps file names to source text."""
+    return [
+        f"{name}: {defined}"
+        for name, source in sources.items()
+        if name != "codec.py"
+        for node in ast.parse(source).body
+        for defined in defined_names(node)
+        if WIRE_LAYOUT.fullmatch(defined)
+    ]
+
+
+def test_wire_layouts_live_in_codec():
+    # one module owns every octet on the wire
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert wire_layouts_outside_codec(sources) == []
+
+
+def test_detects_a_wire_layout_outside_codec():
+    sources = {
+        "codec.py": "def encode_x(v, p): pass\nMESSAGE_CODECS = {}\nID_OCTETS = 8\n",
+        "roles.py": (
+            "from .codec import ID_OCTETS, encode_x\n"
+            "def encode_y(v, p): pass\n"
+            "def _decode_z(raw): pass\n"
+            "def decoder(raw): pass\n"
+            "def decode_y(raw, p):\n"
+            "    def encode_inner(): pass\n"
+            "MESSAGE_CODECS: dict = {}\n"
+            "KEY_OCTETS, padded_octets = 4, 5\n"
+        ),
+    }
+    assert wire_layouts_outside_codec(sources) == [
+        "roles.py: encode_y",
+        "roles.py: decode_y",
+        "roles.py: MESSAGE_CODECS",
+        "roles.py: KEY_OCTETS",
     ]
 
 

@@ -15,18 +15,11 @@ from agentpad.cipher import (
     required_key_octets,
 )
 from agentpad.codec import (
+    MESSAGE_CODECS,
     AgentDataArea,
     CodecError,
     TrailingGarbageError,
     TruncatedError,
-    encode_register,
-)
-from agentpad.protocol import (
-    MESSAGE_CODECS,
-    AgentServerState,
-    DiscardReason,
-    PeerHostState,
-    Verdict,
     decode_agent_id,
     decode_agent_transfer,
     decode_key_response,
@@ -35,8 +28,15 @@ from agentpad.protocol import (
     encode_agent_id,
     encode_agent_transfer,
     encode_key_response,
+    encode_register,
     encode_route_answer,
     encode_route_log_entry,
+)
+from agentpad.protocol import (
+    AgentServerState,
+    DiscardReason,
+    PeerHostState,
+    Verdict,
     host_handle_agent,
     host_id,
     host_label,

@@ -10,16 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentpad.cipher import CipherParams, OneTimeKey, ProtectionMode, padded_octets
-from agentpad.codec import AgentDataArea
-from agentpad.protocol import (
+from agentpad.codec import (
     MESSAGE_CODECS,
-    DiscardReason,
-    Verdict,
+    AgentDataArea,
     decode_agent_transfer,
     encode_agent_transfer,
-    host_id,
-    host_label,
 )
+from agentpad.protocol import DiscardReason, Verdict, host_id, host_label
 from agentpad.simulator import (
     BehaviorProfile,
     Channel,
