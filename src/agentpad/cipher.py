@@ -17,13 +17,14 @@ replay the identical schedule.
 Every codeword state is the codeword rotated right by a running offset in
 Z_W, so the schedule is a walk on at most W states: a preperiod of mu
 blocks, then a cycle of lam blocks, with mu + lam <= W. The schedule's own
-period picks each kernel's path. A register whose walk repeats a state
-within its n blocks is folded: the digest XORs in the mu leading blocks one
-by one, XOR-folds the rest per cycle phase, and rotates only the lam folds;
-encryption-mode rotation rotates the mu leading blocks one by one and all
-blocks of each cycle phase together, so it passes over the data about once
-however many rotation amounts the codeword has. A register whose walk
-repeats no state within its n blocks is walked block by block.
+period picks each kernel's path. Each kernel walks every state the
+schedule returns, its first min(n, mu + lam) blocks, one block at a time,
+reading them from one integer. Only the blocks past that first period are
+folded: the digest XOR-folds them per cycle phase and rotates only the lam
+folds; encryption-mode rotation rotates all blocks of each cycle phase
+together, so it passes over the data about once however many rotation
+amounts the codeword has. When no cycle phase holds more than one block
+past the first period (n - mu - lam <= lam), those blocks are walked too.
 
 In encryption mode the stored blocks are the rotated ones, and derotation
 undoes each rotation exactly, so the digest of the derotated blocks equals
@@ -227,26 +228,27 @@ def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
     walk stops at the first repeated state or once n states are known, and
     returns ``(amounts, mu)``. If no state repeats within n blocks, mu = n and
     block i takes ``amounts[i]``. Otherwise the walk has closed a cycle of
-    ``lam = len(amounts) - mu`` states, with mu + lam < n: block i < mu takes
-    ``amounts[i]`` and block i >= mu takes ``amounts[mu + (i - mu) % lam]``.
-    A state always repeats within W + 1 steps: every state is a rotation of
-    cw, and a W-bit word has at most W of them.
+    ``lam = len(amounts) - mu`` states, with mu + lam < n: block i < mu + lam
+    takes ``amounts[i]``, and every block past that first period takes
+    ``amounts[mu + (i - mu) % lam]``. A state always repeats within W + 1
+    steps: every state is a rotation of cw, and a W-bit word has at most W of
+    them. The state after the last one needed is never computed.
     """
     w = params.block_width_bits
-    mask = params.word_mask
     low = w - 1
     top = w - params.rotation_field_bits
-    states = []
-    amounts = []
+    mask = params.word_mask
+    states = [cw]
+    amounts = [cw & low]
     c = cw
-    for _ in range(n):
+    for _ in range(n - 1):
+        m = c >> top
+        c = ((c >> m) | (c << (w - m))) & mask
         if c in states:
             return amounts, states.index(c)
         states.append(c)
         amounts.append(c & low)
-        m = c >> top
-        c = ((c >> m) | (c << (w - m))) & mask
-    return amounts, n
+    return (amounts, n) if n else ([], 0)
 
 
 def _fold(x: int, chunks: int, chunk_bits: int) -> int:
@@ -263,40 +265,66 @@ def _fold(x: int, chunks: int, chunk_bits: int) -> int:
     return x
 
 
+def _walked(amounts: list[int], mu: int, n: int) -> tuple[list[int], int]:
+    """The amount of each block a kernel walks, and how many blocks follow.
+
+    ``amounts`` and ``mu`` are what ``_schedule`` returned for n blocks. The
+    walk covers every state it returned, the schedule's first period. When
+    no cycle phase holds more than one of the blocks past it, those blocks
+    are walked too, since gathering a phase of one block costs more than
+    rotating it; otherwise they are left for the kernel to fold or rotate
+    per phase.
+    """
+    rest = n - len(amounts)
+    if not rest or rest > len(amounts) - mu:
+        return amounts, rest
+    return amounts + amounts[mu : mu + rest], 0
+
+
 def _digest(data: bytes, cw: int, params: CipherParams) -> int:
     """Schedule digest of whole-block ``data``.
 
-    Blocks before the cycle are rotated one by one. The cycle's blocks are
-    XOR-folded per phase first, so only lam folds are rotated.
+    The blocks ``_walked`` names, every state ``_schedule`` returned and
+    any lone block per cycle phase past them, are read from one integer and
+    rotated one by one. Any other blocks past the first period are XOR-folded
+    per cycle phase first, so only lam folds are rotated.
     """
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
     n = len(data) // bb
     amounts, mu = _schedule(cw, n, params)
+    walk, rest = _walked(amounts, mu, n)
+    cut = (n - rest) * bb
+    x = int.from_bytes(data[:cut], "big")
     mfd = 0
-    for b, l in zip(split_into_blocks(data[: mu * bb], params), amounts):
+    for l in reversed(walk):
+        b = x & mask
         mfd ^= ((b << l) | (b >> (w - l))) & mask
-    lam = len(amounts) - mu
-    if lam:
-        folds = _fold(int.from_bytes(data[mu * bb :], "big"), -(-(n - mu) // lam), lam * w)
-        last = (n - 1 - mu) % lam  # the phase of the lowest word of folds
-        for q in range(lam):
-            f = (folds >> (q * w)) & mask
-            l = amounts[mu + (last - q) % lam]
+        x >>= w
+    if rest:
+        cycle = amounts[mu:]
+        lam = len(cycle)
+        folds = _fold(int.from_bytes(data[cut:], "big"), -(-rest // lam), lam * w)
+        for q in range(lam):  # the fold's lowest word holds the phase of the last block
+            f = folds & mask
+            l = cycle[(rest - 1 - q) % lam]
             mfd ^= ((f << l) | (f >> (w - l))) & mask
+            folds >>= w
     return mfd
 
 
 def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -> bytes:
     """Rotate each block of whole-block ``data`` by its schedule amount.
 
-    Left for protection, right (``inverse``) for recovery. The mu blocks
-    before the cycle are rotated one by one. Each cycle phase's blocks, the
-    word slice ``[mu + q::lam]``, share one amount, so they are gathered into
-    one integer and rotated together: one shift each way, with a mask built
-    from the low bit of every word. Only whole words move through the array,
-    so the host's byte order never matters.
+    Left for protection, right (``inverse``) for recovery. The blocks
+    ``_walked`` names, every state ``_schedule`` returned and any lone block
+    per cycle phase past them, are read from one integer and rotated one by
+    one. Past them, each cycle phase's blocks, the word slice ``[q::lam]``,
+    share one amount, so they are gathered into one integer and rotated
+    together: one shift each way, with a mask built from the low bit of every
+    word. Only whole words move through the array, so the host's byte order
+    never matters.
     """
     w = params.block_width_bits
     bb = params.block_bytes
@@ -305,18 +333,26 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
     rots, mu = _schedule(cw, n, params)
     if inverse:
         rots = [-a % w for a in rots]  # right by l is left by (W - l) mod W
+    walk, rest = _walked(rots, mu, n)
+    cut = (n - rest) * bb
+    x = int.from_bytes(data[:cut], "big")
     out = 0
-    for b, l in zip(split_into_blocks(data[: mu * bb], params), rots):
-        out = (out << w) | ((b << l) | (b >> (w - l))) & mask
-    head = out.to_bytes(mu * bb, "big")
-    lam = len(rots) - mu
-    if not lam:
+    at = 0
+    for l in reversed(walk):
+        b = x & mask
+        out |= (((b << l) | (b >> (w - l))) & mask) << at
+        x >>= w
+        at += w
+    head = out.to_bytes(cut, "big")
+    if not rest:
         return head
+    cycle = rots[mu:]
+    lam = len(cycle)
     tc = _WORD_TYPECODES[bb]
-    words = array(tc, data[mu * bb :])
+    words = array(tc, data[cut:])
     unit = (1).to_bytes(bb, "big")
     sels: dict[int, int] = {}  # phase word count -> the low bit of each word
-    for q, a in enumerate(rots[mu:]):
+    for q, a in enumerate(cycle):
         if not a:
             continue
         phase = words[q::lam]

@@ -456,30 +456,30 @@ def run_scenario(scenario: Scenario) -> SimReport:
     params = scenario.params
     abort = scenario.policy_mode == "abort"
     master = random.Random(scenario.seed)
-    # seeded reports depend on this draw order: the server's rng, then each host's
+    # seeded reports depend on this draw order: the server's rng, then every
+    # host's seed in host order, drawn for hosts the route never reaches too
     server = AgentServerState(random.Random(master.getrandbits(64)))
     configs = {cfg.id: cfg for cfg in scenario.hosts}
-    hosts = {
-        cfg.id: PeerHostState(host_id(cfg.id), random.Random(master.getrandbits(64)))
-        for cfg in scenario.hosts
-    }
-    visited: set[str] = set()
+    seeds = {cfg.id: master.getrandbits(64) for cfg in scenario.hosts}
+    # a host's state and rng are built on its first visit
+    hosts: dict[str, PeerHostState] = {}
     # a brainwash host's label -> the area it first forwarded, replayed on each revisit
     snapshots: dict[str, AgentDataArea] = {}
     logs: dict[str, dict[bytes, list[bytes]]] = {label: {} for label in scenario.route_servers}
 
     trace: list[SimEvent] = []
     violations: list[dict] = []
-    # sorted endpoint pair -> security; a pair no channel lists has the default
-    channels = {ch.endpoints: ch.security for ch in scenario.channels}
-    default = scenario.default_channel_security
+    # sorted endpoint pair -> (security, its word in the trace); a pair no
+    # channel lists has the default
+    channels = {ch.endpoints: (ch.security, ch.security.value) for ch in scenario.channels}
+    default = (scenario.default_channel_security, scenario.default_channel_security.value)
 
     def deliver(src: str, dst: str, kind: str, value):
         """Police, encode, decode and trace one message of ``kind``; the
         receiver acts on the decoded value returned. None when the abort
         policy stops it."""
         ends = (src, dst) if src < dst else (dst, src)  # the order Channel keeps
-        security = channels.get(ends, default)
+        security, word = channels.get(ends, default)
         violation = enforce_channel_policy(kind, value, ends, security)
         if violation:
             violations.append({**violation, "aborted": abort})
@@ -493,7 +493,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
             detail["hosts"] = [host_label(h) for h in received]
         elif kind == "key_response":
             detail["keys"] = len(received)
-        trace.append(SimEvent(len(trace) + 1, kind, src, dst, security.value, detail))
+        trace.append(SimEvent(len(trace) + 1, kind, src, dst, word, detail))
         return received
 
     area = server_dispatch(server)
@@ -503,7 +503,10 @@ def run_scenario(scenario: Scenario) -> SimReport:
     for label in scenario.route:
         area = deliver(carrier, label, "agent_transfer", area)
         carrier = label
-        cfg, state = configs[label], hosts[label]
+        cfg, state = configs[label], hosts.get(label)
+        first = state is None
+        if first:
+            state = hosts[label] = PeerHostState(host_id(label), random.Random(seeds[label]))
         for server_label, log in logs.items():
             logged_agent, hid = deliver(label, server_label, "route_log", (area.agent, state.id))
             log.setdefault(logged_agent, []).append(hid)
@@ -511,8 +514,6 @@ def run_scenario(scenario: Scenario) -> SimReport:
             # looks like any other visit to the route servers, then swaps the area
             area = snapshots[label]
             continue
-        first = label not in visited
-        visited.add(label)
         if first:
             area, note = apply_adversary(cfg.behavior, area, params)
             if note:

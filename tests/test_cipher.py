@@ -318,6 +318,28 @@ class TestPhaseRotation:
                 assert _rotate(data, cw, params) == packed(rotated[:n], params)
                 assert _rotate(data, cw, params, inverse=True) == packed(derotated[:n], params)
 
+    def test_fold_boundary_at_every_w8_codeword(self):
+        # every length from 0 to 2W + 1 puts n below, at and past mu + lam for
+        # every codeword, so each block is seen on both sides of where the
+        # kernels stop walking and start folding
+        params = CipherParams(8)
+        rng = random.Random(2511)
+        seen = set()
+        for cw in range(256):
+            mu, lam, _ = schedule_shape(cw, 8)
+            blocks = [rng.getrandbits(8) for _ in range(17)]
+            rotated = rotated_blocks_reference(blocks, cw, 8)
+            derotated = derotated_blocks_reference(blocks, cw, 8)
+            for n in range(18):
+                data = bytes(blocks[:n])
+                assert _digest(data, cw, params) == digest_reference(blocks[:n], cw, 8)
+                assert _rotate(data, cw, params) == bytes(rotated[:n])
+                assert _rotate(data, cw, params, inverse=True) == bytes(derotated[:n])
+                seen.add(((n > mu + lam) - (n < mu + lam), lam == 1, n - mu - lam > lam))
+        # the sweep met the boundary itself, and blocks past it both walked and
+        # folded, for a fixed point (lam = 1) and for longer cycles
+        assert {(1, True, True), (1, False, False), (1, False, True), (0, True, False)} <= seen
+
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_schedule_stops_at_its_first_repeat(self, width):
         params = CipherParams(width)

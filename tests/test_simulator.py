@@ -511,6 +511,48 @@ class TestGoldenReports:
         names = {path.stem for path in SCENARIO_DIR.glob("*.json")}
         assert {name for name, _ in self.GOLDEN_REPORTS} == names
 
+    # Hosts that the route never reaches, first, in the middle and last in
+    # the host list. Every host's rng seed is drawn in host order, reached or
+    # not, so the reached hosts' codewords and keys depend on the others too.
+    # A W=64 report shows no drawn value, so the agent's wire images, which
+    # carry the masked signatures, are pinned beside it.
+    OFF_ROUTE = {
+        "params": {"block_width_bits": 64},
+        "seed": 2511,
+        "agent_server": "server",
+        "route_servers": ["rs1", "rs2"],
+        "hosts": [
+            {"id": "early", "payload": "6561726c79", "mode": "encrypt"},
+            {"id": "alpha", "payload": "616c706861", "mode": "sign"},
+            {"id": "middle", "payload": "6d6964", "mode": "sign"},
+            {"id": "beta", "payload": "62657461", "mode": "encrypt", "revisit": "append"},
+            {"id": "gamma", "payload": "67616d6d61", "mode": "sign"},
+            {"id": "late", "payload": "6c617465", "mode": "encrypt"},
+        ],
+        "route": ["alpha", "beta", "gamma", "beta"],
+    }
+    OFF_ROUTE_REPORT = "2eb10355f7e6110b38e161c6833b8d82e52b2b57a6cf99dd47a86de631e87e6d"
+    OFF_ROUTE_IMAGES = "a6fe13afa8bcce93aefd08647febcc5d170ac802a5124e2ba4538c0d4eebbfb8"
+
+    def test_hosts_off_the_route_change_no_output(self, monkeypatch):
+        scenario = scenario_from_dict(self.OFF_ROUTE)
+        labels = [cfg.id for cfg in scenario.hosts]
+        assert [i for i, label in enumerate(labels) if label not in scenario.route] == [0, 2, 5]
+        images = []
+        encode, decode = MESSAGE_CODECS["agent_transfer"]
+
+        def recorded(area, params):
+            images.append(encode(area, params))
+            return images[-1]
+
+        monkeypatch.setitem(MESSAGE_CODECS, "agent_transfer", (recorded, decode))
+        report = run_scenario(scenario)
+        assert not {"early", "middle", "late"} & {label for e in report.trace for label in (e.src, e.dst)}
+        assert report.verification.verdict is Verdict.ACCEPT
+        assert len(images) == len(scenario.route) + 1
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == self.OFF_ROUTE_REPORT
+        assert hashlib.sha256(b"".join(images)).hexdigest() == self.OFF_ROUTE_IMAGES
+
 
 class TestRouteLogging:
     def test_idle_and_replay_visits_reach_every_route_server(self):
