@@ -23,8 +23,7 @@ reading them from one integer. Only the blocks past that first period are
 folded: the digest XOR-folds them per cycle phase and rotates only the lam
 folds; encryption-mode rotation rotates all blocks of each cycle phase
 together, so it passes over the data about once however many rotation
-amounts the codeword has. When no cycle phase holds more than one block
-past the first period (n - mu - lam <= lam), those blocks are walked too.
+amounts the codeword has.
 
 In encryption mode the stored blocks are the rotated ones, and derotation
 undoes each rotation exactly, so the digest of the derotated blocks equals
@@ -265,40 +264,24 @@ def _fold(x: int, chunks: int, chunk_bits: int) -> int:
     return x
 
 
-def _walked(amounts: list[int], mu: int, n: int) -> tuple[list[int], int]:
-    """The amount of each block a kernel walks, and how many blocks follow.
-
-    ``amounts`` and ``mu`` are what ``_schedule`` returned for n blocks. The
-    walk covers every state it returned, the schedule's first period. When
-    no cycle phase holds more than one of the blocks past it, those blocks
-    are walked too, since gathering a phase of one block costs more than
-    rotating it; otherwise they are left for the kernel to fold or rotate
-    per phase.
-    """
-    rest = n - len(amounts)
-    if not rest or rest > len(amounts) - mu:
-        return amounts, rest
-    return amounts + amounts[mu : mu + rest], 0
-
-
 def _digest(data: bytes, cw: int, params: CipherParams) -> int:
     """Schedule digest of whole-block ``data``.
 
-    The blocks ``_walked`` names, every state ``_schedule`` returned and
-    any lone block per cycle phase past them, are read from one integer and
-    rotated one by one. Any other blocks past the first period are XOR-folded
-    per cycle phase first, so only lam folds are rotated.
+    The blocks of every state ``_schedule`` returned, the schedule's first
+    period, are read from one integer and rotated one by one. The blocks
+    past it are XOR-folded per cycle phase first, so only lam folds are
+    rotated.
     """
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
     n = len(data) // bb
     amounts, mu = _schedule(cw, n, params)
-    walk, rest = _walked(amounts, mu, n)
-    cut = (n - rest) * bb
+    rest = n - len(amounts)
+    cut = len(amounts) * bb
     x = int.from_bytes(data[:cut], "big")
     mfd = 0
-    for l in reversed(walk):
+    for l in reversed(amounts):
         b = x & mask
         mfd ^= ((b << l) | (b >> (w - l))) & mask
         x >>= w
@@ -317,14 +300,13 @@ def _digest(data: bytes, cw: int, params: CipherParams) -> int:
 def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -> bytes:
     """Rotate each block of whole-block ``data`` by its schedule amount.
 
-    Left for protection, right (``inverse``) for recovery. The blocks
-    ``_walked`` names, every state ``_schedule`` returned and any lone block
-    per cycle phase past them, are read from one integer and rotated one by
-    one. Past them, each cycle phase's blocks, the word slice ``[q::lam]``,
-    share one amount, so they are gathered into one integer and rotated
-    together: one shift each way, with a mask built from the low bit of every
-    word. Only whole words move through the array, so the host's byte order
-    never matters.
+    Left for protection, right (``inverse``) for recovery. The blocks of
+    every state ``_schedule`` returned, the schedule's first period, are
+    read from one integer and rotated one by one. Past it, each cycle
+    phase's blocks, the word slice ``[q::lam]``, share one amount, so they
+    are gathered into one integer and rotated together: one shift each way,
+    with a mask built from the low bit of every word. Only whole words move
+    through the array, so the host's byte order never matters.
     """
     w = params.block_width_bits
     bb = params.block_bytes
@@ -333,12 +315,12 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
     rots, mu = _schedule(cw, n, params)
     if inverse:
         rots = [-a % w for a in rots]  # right by l is left by (W - l) mod W
-    walk, rest = _walked(rots, mu, n)
-    cut = (n - rest) * bb
+    rest = n - len(rots)
+    cut = len(rots) * bb
     x = int.from_bytes(data[:cut], "big")
     out = 0
     at = 0
-    for l in reversed(walk):
+    for l in reversed(rots):
         b = x & mask
         out |= (((b << l) | (b >> (w - l))) & mask) << at
         x >>= w

@@ -76,13 +76,11 @@ AGENT_ID_OCTETS = 16
 
 _HEADER = struct.Struct(">BI")
 _MODES = {mode.value: mode for mode in ProtectionMode}
-# each mode's octet, read once here: an Enum's ``.value`` is a property lookup
-_MODE_OCTETS = {mode: mode.value for mode in ProtectionMode}
 
 
 def _write_header(mode: ProtectionMode, count: int) -> bytes:
     """The mode octet and 4-octet count that open a register or key image."""
-    return _HEADER.pack(_MODE_OCTETS[mode], count)
+    return _HEADER.pack(mode.value, count)
 
 
 def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, int]:

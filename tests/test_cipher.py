@@ -295,11 +295,14 @@ class TestPhaseRotation:
 
     @staticmethod
     def sweep(width):
-        """The symmetric codewords and 20 seeded random ones, and every length
-        0-24 plus the lengths around W and past two periods."""
+        """Every codeword at W=8, else the symmetric codewords and 20 seeded
+        random ones; every length 0-24 plus the lengths around W and past two
+        periods."""
+        lengths = [*range(25), width - 1, width, width + 1, 2 * width + 2]
+        if width == 8:
+            return list(range(256)), lengths
         rng = random.Random(width)
-        codewords = symmetric_codewords(width) + [rng.getrandbits(width) for _ in range(20)]
-        return codewords, [*range(25), width - 1, width, width + 1, 2 * width + 2]
+        return symmetric_codewords(width) + [rng.getrandbits(width) for _ in range(20)], lengths
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_kernels_match_oracles_at_every_length(self, width):
@@ -309,7 +312,9 @@ class TestPhaseRotation:
         codewords, lengths = self.sweep(width)
         rng = random.Random(-width)
         blocks = [rng.getrandbits(width) for _ in range(max(lengths))]
+        seen = set()
         for cw in codewords:
+            mu, lam, _ = schedule_shape(cw, width)
             rotated = rotated_blocks_reference(blocks, cw, width)
             derotated = derotated_blocks_reference(blocks, cw, width)
             for n in lengths:
@@ -317,28 +322,11 @@ class TestPhaseRotation:
                 assert _digest(data, cw, params) == digest_reference(blocks[:n], cw, width)
                 assert _rotate(data, cw, params) == packed(rotated[:n], params)
                 assert _rotate(data, cw, params, inverse=True) == packed(derotated[:n], params)
-
-    def test_fold_boundary_at_every_w8_codeword(self):
-        # every length from 0 to 2W + 1 puts n below, at and past mu + lam for
-        # every codeword, so each block is seen on both sides of where the
-        # kernels stop walking and start folding
-        params = CipherParams(8)
-        rng = random.Random(2511)
-        seen = set()
-        for cw in range(256):
-            mu, lam, _ = schedule_shape(cw, 8)
-            blocks = [rng.getrandbits(8) for _ in range(17)]
-            rotated = rotated_blocks_reference(blocks, cw, 8)
-            derotated = derotated_blocks_reference(blocks, cw, 8)
-            for n in range(18):
-                data = bytes(blocks[:n])
-                assert _digest(data, cw, params) == digest_reference(blocks[:n], cw, 8)
-                assert _rotate(data, cw, params) == bytes(rotated[:n])
-                assert _rotate(data, cw, params, inverse=True) == bytes(derotated[:n])
-                seen.add(((n > mu + lam) - (n < mu + lam), lam == 1, n - mu - lam > lam))
-        # the sweep met the boundary itself, and blocks past it both walked and
-        # folded, for a fixed point (lam = 1) and for longer cycles
-        assert {(1, True, True), (1, False, False), (1, False, True), (0, True, False)} <= seen
+                seen.add(((n > mu + lam) - (n < mu + lam), lam == 1))
+        # the kernels walk the first mu + lam blocks and fold the rest: the
+        # sweep put n below, at and past that boundary, for a fixed point
+        # (lam = 1) and for longer cycles
+        assert seen == {(side, fixed) for side in (-1, 0, 1) for fixed in (True, False)}
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_schedule_stops_at_its_first_repeat(self, width):
