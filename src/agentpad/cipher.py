@@ -133,7 +133,7 @@ class CipherParams:
 DEFAULT_PARAMS = CipherParams()
 
 
-@dataclass
+@dataclass(slots=True)
 class OneTimeKey:
     """Random key bound to exactly one protection.
 
@@ -151,7 +151,7 @@ class OneTimeKey:
         return 8 * len(self.bits)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Register:
     """One protected record: clear header plus masked signature.
 
@@ -159,6 +159,10 @@ class Register:
     whole number of blocks (plaintext when signed, masked rotated blocks when
     encrypted). The mode and length travel in clear; the signature words are
     masked with the one-time key.
+
+    Nothing assigns to a register once it is built, which a lint in
+    tests/test_imports.py enforces. It is unhashable and not frozen because a
+    frozen one costs several times as much to build, once per register decoded.
     """
 
     mode: ProtectionMode

@@ -11,9 +11,10 @@ integers big-endian):
 
 An area image is a counted list, the framing every list on the wire shares:
 a 4-octet item count, then the registers. A key image is a mode octet, a
-4-octet bit length, and the key octets. Neither registers nor keys carry a
-host identifier: authorship is established only by key matching at the agent
-server, which knows which host surrendered each key.
+4-octet bit length, and the key octets. Each fixed-size integer field is read
+and written with one precompiled ``struct.Struct``. Neither registers nor keys
+carry a host identifier: authorship is established only by key matching at
+the agent server, which knows which host surrendered each key.
 
 Each bus message is the plain value it carries, named by its trace kind.
 Message layouts by kind:
@@ -63,9 +64,14 @@ class TrailingGarbageError(CodecError):
     """Octets remain after a complete standalone image."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentDataArea:
-    """Ordered registers carried by one agent."""
+    """Ordered registers carried by one agent.
+
+    As for ``Register``, nothing assigns to an area once it is built, which a
+    lint in tests/test_imports.py enforces; it is unhashable and not frozen
+    because a frozen one costs more to build, once per transfer decoded.
+    """
 
     agent: bytes
     registers: tuple[Register, ...] = ()
@@ -74,16 +80,15 @@ class AgentDataArea:
 HOST_ID_OCTETS = 8
 AGENT_ID_OCTETS = 16
 
+_COUNT = struct.Struct(">I")
 _HEADER = struct.Struct(">BI")
+# the masked codeword and digest that close a register image, per block octets
+_WORDS = {struct.calcsize(f">{code}"): struct.Struct(f">2{code}") for code in "BHIQ"}
 _MODES = {mode.value: mode for mode in ProtectionMode}
 
 
-def _write_header(mode: ProtectionMode, count: int) -> bytes:
-    """The mode octet and 4-octet count that open a register or key image."""
-    return _HEADER.pack(mode.value, count)
-
-
 def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, int]:
+    """The mode octet and 4-octet count that open a register or key image."""
     if len(raw) - offset < 5:
         raise TruncatedError(f"{what} header incomplete")
     octet, count = _HEADER.unpack_from(raw, offset)
@@ -103,18 +108,22 @@ def _read_exact(raw: bytes, octets: int, what: str) -> bytes:
 
 def _write_counted(images: Sequence[bytes]) -> bytes:
     """A counted list: the 4-octet item count, then the item images."""
-    return struct.pack(">I", len(images)) + b"".join(images)
+    return _COUNT.pack(len(images)) + b"".join(images)
+
+
+def _read_count(raw: bytes, what: str) -> int:
+    """The item count that opens the counted list ``raw``."""
+    if len(raw) < 4:
+        raise TruncatedError(f"{what} count incomplete")
+    return _COUNT.unpack_from(raw)[0]
 
 
 def _read_counted(raw: bytes, read_item: Callable[..., tuple[Any, int]], what: str, *args) -> tuple:
     """Every item of the counted list that fills ``raw`` exactly;
     ``read_item(raw, offset, *args)`` returns one item and the next offset."""
-    if len(raw) < 4:
-        raise TruncatedError(f"{what} count incomplete")
-    (count,) = struct.unpack_from(">I", raw, 0)
     offset = 4
     items = []
-    for _ in range(count):
+    for _ in range(_read_count(raw, what)):
         item, offset = read_item(raw, offset, *args)
         items.append(item)
     if offset != len(raw):
@@ -123,30 +132,20 @@ def _read_counted(raw: bytes, read_item: Callable[..., tuple[Any, int]], what: s
 
 
 def encode_register(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> bytes:
-    bb = params.block_bytes
-    cw, mfd = reg.masked_cw.to_bytes(bb, "big"), reg.masked_mfd.to_bytes(bb, "big")
-    return b"".join((_write_header(reg.mode, reg.length), reg.data_field, cw, mfd))
+    words = _WORDS[params.block_bytes].pack(reg.masked_cw, reg.masked_mfd)
+    return b"".join((_HEADER.pack(reg.mode.value, reg.length), reg.data_field, words))
 
 
 def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS) -> tuple[Register, int]:
     """Decode one register at ``offset``; returns it and the next offset."""
-    bb = params.block_bytes
     mode, length = _read_header(raw, offset, "register")
-    data_octets = padded_octets(length, params)
-    end = offset + 5 + data_octets + 2 * bb
+    data_start = offset + 5
+    data_end = data_start + padded_octets(length, params)
+    words = _WORDS[params.block_bytes]
+    end = data_end + words.size
     if len(raw) < end:
         raise TruncatedError(f"register body needs {end - offset} octets")
-    data_start = offset + 5
-    return (
-        Register(
-            mode,
-            length,
-            raw[data_start : data_start + data_octets],
-            int.from_bytes(raw[data_start + data_octets : end - bb], "big"),
-            int.from_bytes(raw[end - bb : end], "big"),
-        ),
-        end,
-    )
+    return Register(mode, length, raw[data_start:data_end], *words.unpack_from(raw, data_end)), end
 
 
 def decode_register(raw: bytes, params: CipherParams = DEFAULT_PARAMS) -> Register:
@@ -166,7 +165,7 @@ def decode_area(raw: bytes, agent: bytes, params: CipherParams = DEFAULT_PARAMS)
 
 
 def encode_key(key: OneTimeKey) -> bytes:
-    return _write_header(key.mode, key.bit_length()) + key.bits
+    return _HEADER.pack(key.mode.value, key.bit_length()) + key.bits
 
 
 def _read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
@@ -217,17 +216,18 @@ def decode_agent_id(raw: bytes, params: CipherParams) -> bytes:
     return _read_exact(raw, AGENT_ID_OCTETS, "agent id")
 
 
-def _read_host(raw: bytes, offset: int) -> tuple[bytes, int]:
-    end = offset + HOST_ID_OCTETS
-    return _read_exact(raw[offset:end], HOST_ID_OCTETS, "route_answer host id"), end
-
-
 def encode_route_answer(hosts: tuple[bytes, ...], params: CipherParams) -> bytes:
     return _write_counted(hosts)
 
 
 def decode_route_answer(raw: bytes, params: CipherParams) -> tuple[bytes, ...]:
-    return _read_counted(raw, _read_host, "route_answer")
+    end = 4 + _read_count(raw, "route_answer") * HOST_ID_OCTETS
+    if len(raw) < end:
+        short = (len(raw) - 4) % HOST_ID_OCTETS  # the first host id cut short
+        raise TruncatedError(f"route_answer host id is {short} octets, not {HOST_ID_OCTETS}")
+    if len(raw) > end:
+        raise TrailingGarbageError(f"{len(raw) - end} octets after route_answer")
+    return tuple(raw[at : at + HOST_ID_OCTETS] for at in range(4, end, HOST_ID_OCTETS))
 
 
 def encode_key_response(keys: tuple[OneTimeKey, ...], params: CipherParams) -> bytes:

@@ -565,29 +565,25 @@ def run_scenario(scenario: Scenario) -> SimReport:
 def _trace_assertions(
     trace: list[SimEvent], scenario: Scenario, violations: list[dict]
 ) -> dict[str, bool]:
-    """Mechanical checks over the delivered-message trace."""
+    """Mechanical checks over the delivered-message trace, in two passes."""
     transfers = [event.time for event in trace if event.kind == "agent_transfer"]
     dispatch_time, return_time = transfers[0], transfers[-1]
     host_labels = {cfg.id for cfg in scenario.hosts}
     server = scenario.agent_server
 
-    non_interactive = True
+    non_interactive = key_release_after_return = drain_once = True
+    drained: set[str] = set()  # hosts that sent a nonempty key response
     for event in trace:
-        if dispatch_time < event.time < return_time:
-            if (event.src == server and event.dst in host_labels) or (
-                event.dst == server and event.src in host_labels
-            ):
-                non_interactive = False
-
-    key_release_after_return = all(
-        event.time > return_time for event in trace if event.kind == "key_response"
-    )
-
-    nonempty_responses: dict[str, int] = {}
-    for event in trace:
-        if event.kind == "key_response" and event.detail.get("keys", 0) > 0:
-            nonempty_responses[event.src] = nonempty_responses.get(event.src, 0) + 1
-    drain_once = all(count <= 1 for count in nonempty_responses.values())
+        if dispatch_time < event.time < return_time and (
+            (event.src == server and event.dst in host_labels)
+            or (event.dst == server and event.src in host_labels)
+        ):
+            non_interactive = False
+        if event.kind == "key_response":
+            key_release_after_return &= event.time > return_time
+            if event.detail.get("keys", 0) > 0:
+                drain_once &= event.src not in drained
+                drained.add(event.src)
 
     assertions = {
         "non_interactive": non_interactive,

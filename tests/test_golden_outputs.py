@@ -1,7 +1,7 @@
 """The golden outputs are bit-identical on every Python the package supports.
 
-tests/golden_outputs.py prints the report hashes, the wire vectors and one
-``prop3`` line using the standard library alone. This runs it under each
+tests/golden_outputs.py prints the report hashes, the bus transcript hashes,
+the wire vectors and one ``prop3`` line using the standard library alone. This runs it under each
 Python from 3.10 to 3.13 and compares what it prints with tests/golden/.
 """
 
@@ -79,6 +79,8 @@ def test_golden_outputs_on_every_supported_python(runs, name):
     assert run.returncode == 0, run.stderr
     outputs = json.loads(run.stdout)
     assert outputs["reports"] == json.loads((GOLDEN / "reports.json").read_text())["reports"]
+    transcripts = json.loads((GOLDEN / "transcripts.json").read_text())["transcripts"]
+    assert outputs["transcripts"] == transcripts
     vectors = json.loads((GOLDEN / "registers.json").read_text())["vectors"]
     assert outputs["vectors"] == {v["name"]: v["register_hex"] for v in vectors}
     assert outputs["prop3"] == "256 of 65536 signature keys validate (exit 0)"

@@ -3,8 +3,9 @@ declares, every name a package module imports is used in that module, every
 module-level function, class or constant is referred to somewhere in the
 package, every parameter of a package function is read in its body, only
 ``codec.py`` defines wire layouts (``encode_*`` and ``decode_*`` functions,
-``MESSAGE_CODECS`` and ``*_OCTETS`` sizes), and only ``__main__.py`` starts
-the program.
+``MESSAGE_CODECS`` and ``*_OCTETS`` sizes), only ``__main__.py`` starts
+the program, and no package module assigns to a field of a ``Register`` or
+an ``AgentDataArea``, which are not frozen.
 
 Deletions tend to leave imports, dead definitions and parameters behind; this
 keeps them from piling up. ``__init__.py`` is exempt from these checks, and it
@@ -369,3 +370,69 @@ def test_detects_a_main_guard():
         "    pass\n"
     )
     assert main_guards(source) == ["line 2", "line 9"]
+
+
+
+# The fields of cipher.Register and codec.AgentDataArea. Both are slotted but
+# not frozen, because a frozen dataclass costs several times as much to
+# build, so this lint is what keeps them unchanged once built.
+FROZEN_FIELDS = {"mode", "length", "data_field", "masked_cw", "masked_mfd", "agent", "registers"}
+SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def field_assignments(source: str) -> list[str]:
+    """Each place in ``source`` that assigns, augments or deletes an attribute
+    named in ``FROZEN_FIELDS``, or passes such a name as a string to
+    ``setattr``, ``delattr``, or any ``__setattr__`` or ``__delattr__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if node.attr in FROZEN_FIELDS:
+                found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            setter = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if setter in SETTERS:
+                found += [
+                    (node.lineno, f"{setter}({arg.value!r})")
+                    for arg in node.args
+                    if isinstance(arg, ast.Constant) and arg.value in FROZEN_FIELDS
+                ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_registers_and_areas_are_never_assigned():
+    # Channel.endpoints and OneTimeKey.consumed are not among these fields
+    found = [
+        f"{path.name} {entry}" for path in MODULES for entry in field_assignments(path.read_text())
+    ]
+    assert found == []
+
+
+def test_detects_an_assigned_register_or_area_field():
+    source = (
+        "reg.length = 3\n"
+        "reg.masked_cw ^= 1\n"
+        "del area.registers\n"
+        "area.agent, n = b'', 0\n"
+        "for reg.mode in modes: pass\n"
+        "setattr(reg, 'data_field', b'')\n"
+        "object.__setattr__(reg, 'masked_mfd', 0)\n"
+        "reg.__delattr__('length')\n"
+        "key.consumed = True\n"
+        "object.__setattr__(self, 'endpoints', ends)\n"
+        "table[reg.mode] = reg.length\n"
+        "length = reg.length\n"
+        "Register(mode=reg.mode, length=0)\n"
+        "getattr(reg, 'length')\n"
+    )
+    assert field_assignments(source) == [
+        "line 1: .length",
+        "line 2: .masked_cw",
+        "line 3: .registers",
+        "line 4: .agent",
+        "line 5: .mode",
+        "line 6: setattr('data_field')",
+        "line 7: __setattr__('masked_mfd')",
+        "line 8: __delattr__('length')",
+    ]

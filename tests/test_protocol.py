@@ -233,6 +233,24 @@ class TestMessageDecodeRobustness:
         with pytest.raises(TrailingGarbageError):
             decode(raw + b"\x00", P64)
 
+    @pytest.mark.parametrize("count", range(5))
+    def test_route_answer_failures_pinned(self, count):
+        # every cut of a route answer of ``count`` hosts names the count or the
+        # first short host id, and every extension names its surplus octets
+        raw = encode_route_answer((ALPHA, BETA, GAMMA, ALPHA)[:count], P64)
+        images = [raw[:end] for end in range(len(raw))] + [raw + bytes(k) for k in (1, 7, 8)]
+        expected = [
+            (TruncatedError, "route_answer count incomplete") if end < 4
+            else (TruncatedError, f"route_answer host id is {(end - 4) % 8} octets, not 8")
+            for end in range(len(raw))
+        ] + [(TrailingGarbageError, f"{k} octets after route_answer") for k in (1, 7, 8)]
+        failures = []
+        for image in images:
+            with pytest.raises(CodecError) as caught:
+                decode_route_answer(image, P64)
+            failures.append((caught.type, str(caught.value)))
+        assert failures == expected
+
     @given(mutated_images(), st.sampled_from([CipherParams(8), P64]))
     @settings(max_examples=600)
     def test_fuzzed_decoders(self, raw, params):
