@@ -47,7 +47,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from struct import unpack
 from typing import Iterable, Iterator
 
 VALID_WIDTHS = (8, 16, 32, 64)
@@ -147,9 +146,6 @@ class OneTimeKey:
     bits: bytes
     consumed: bool = False
 
-    def bit_length(self) -> int:
-        return 8 * len(self.bits)
-
 
 @dataclass(slots=True)
 class Register:
@@ -202,26 +198,12 @@ def padded_octets(length: int, params: CipherParams) -> int:
     return ((length + bb - 1) // bb) * bb
 
 
-def pad_to_blocks(data: bytes, params: CipherParams) -> bytes:
-    """``data`` zero-padded to a whole number of blocks."""
-    short = -len(data) % params.block_bytes
-    return data + bytes(short) if short else data
-
-
 def required_key_octets(mode: ProtectionMode, message_octets: int, params: CipherParams) -> int:
     """Key size demanded by a mode for a message of the given length."""
     signature = params.signature_width_bits // 8
     if mode is ProtectionMode.SIGNATURE:
         return signature
     return padded_octets(message_octets, params) + signature
-
-
-def split_into_blocks(data: bytes, params: CipherParams) -> list[int]:
-    """Pack octets big-endian into W-bit words, zero-padding the tail block."""
-    data = pad_to_blocks(data, params)
-    # ">" gives B, H, I and Q their standard sizes: 1, 2, 4 and 8 octets
-    code = "BHIQ"[params.block_bytes.bit_length() - 1]
-    return list(unpack(f">{len(data) // params.block_bytes}{code}", data))
 
 
 def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
@@ -377,7 +359,7 @@ def protect_register(
         raise ValueError("codeword out of range for the block width")
 
     bb = params.block_bytes
-    padded = pad_to_blocks(message, params)
+    padded = message.ljust(padded_octets(len(message), params), b"\0")
     if key.mode is ProtectionMode.SIGNATURE:
         mfd = _digest(padded, cw, params)
         data_field = padded
@@ -507,7 +489,9 @@ def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:
     succ = [((s >> (s >> top)) | (s << (w - (s >> top)))) & mask for s in range(size)]
     states = [reg.masked_cw ^ c for c in range(size)]
     digests = [0] * size
-    for b in split_into_blocks(reg.data_field, params):
+    x = int.from_bytes(reg.data_field, "big")
+    for at in reversed(range(0, 8 * len(reg.data_field), w)):  # the first block is the top one
+        b = (x >> at) & mask
         rots = [((b << l) | (b >> (w - l))) & mask for l in range(w)]
         digests = [d ^ rots[s & low] for d, s in zip(digests, states)]
         states = [succ[s] for s in states]

@@ -165,7 +165,7 @@ def decode_area(raw: bytes, agent: bytes, params: CipherParams = DEFAULT_PARAMS)
 
 
 def encode_key(key: OneTimeKey) -> bytes:
-    return _HEADER.pack(key.mode.value, key.bit_length()) + key.bits
+    return _HEADER.pack(key.mode.value, 8 * len(key.bits)) + key.bits
 
 
 def _read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,7 +50,7 @@ from .cipher import (
     OneTimeKey,
     ProtectionMode,
     Register,
-    pad_to_blocks,
+    padded_octets,
     protect_register,
 )
 from .codec import MESSAGE_CODECS, AgentDataArea
@@ -76,17 +75,13 @@ class InvalidScenarioError(Exception):
     pass
 
 
-class ChannelSecurity(Enum):
-    SECURE = "secure"
-    INSECURE = "insecure"
-
-
 @dataclass(frozen=True)
 class Channel:
-    """A link between two participants; its endpoints are kept sorted."""
+    """A link between two participants; its endpoints are kept sorted and its
+    security is one of CHANNEL_SECURITIES."""
 
     endpoints: tuple[str, str]
-    security: ChannelSecurity
+    security: str
 
     def __post_init__(self):
         # a pair of strings is put in order; validate_scenario names other endpoints
@@ -105,8 +100,8 @@ KEY_REUSE = "key_reuse"
 PROFILE_KINDS = (HONEST, COUNTERFEIT, ERASE_FOREIGN, BRAINWASH_REPLAY, ORPHAN_KEY, KEY_REUSE)
 
 MODE_WORDS = {"sign": ProtectionMode.SIGNATURE, "encrypt": ProtectionMode.ENCRYPTION}
-SECURITY_WORDS = {security.value: security for security in ChannelSecurity}
 POLICY_MODES = ("record", "abort")
+CHANNEL_SECURITIES = ("secure", "insecure")
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ class Scenario:
     hosts: tuple[HostConfig, ...]
     route: tuple[str, ...]
     channels: tuple[Channel, ...] = ()
-    default_channel_security: ChannelSecurity = ChannelSecurity.SECURE
+    default_channel_security: str = "secure"
     policy_mode: str = "record"
 
     def __post_init__(self):
@@ -241,9 +236,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from its JSON form; making it validates it.
 
     The document is walked only as far as building needs: objects, arrays,
-    known keys, hex octets and the mode and security words. Every other rule
-    is validate_scenario's, so a malformed document raises
-    InvalidScenarioError and nothing else.
+    known keys, hex octets and the mode words. Every other rule is
+    validate_scenario's, so a malformed document raises InvalidScenarioError
+    and nothing else.
     """
     _object(raw, "scenario", (
         "params", "seed", "agent_server", "route_servers", "hosts", "route",
@@ -270,12 +265,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for i, c in enumerate(_array(raw, "channels")):
         where = f"channels[{i}]"
         _object(c, where, ("endpoints", "security"))
-        security = _one_of(c.get("security"), SECURITY_WORDS, f"{where}.security")
-        channels.append(Channel(_array(c, "endpoints", f"{where}."), SECURITY_WORDS[security]))
+        channels.append(Channel(_array(c, "endpoints", f"{where}."), c.get("security")))
 
-    default_security = _one_of(
-        raw.get("default_channel_security", "secure"), SECURITY_WORDS, "default_channel_security"
-    )
     return Scenario(
         params=params,
         seed=raw.get("seed", 0),
@@ -284,7 +275,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         hosts=tuple(hosts),
         route=_array(raw, "route"),
         channels=tuple(channels),
-        default_channel_security=SECURITY_WORDS[default_security],
+        default_channel_security=raw.get("default_channel_security", "secure"),
         policy_mode=raw.get("policy_mode", "record"),
     )
 
@@ -314,7 +305,7 @@ def validate_scenario(scenario: Scenario) -> None:
     if not 0 <= _check(scenario.seed, int, "seed") < 2**64:
         raise InvalidScenarioError("seed must fit in 64 bits")
     _one_of(scenario.policy_mode, POLICY_MODES, "policy_mode")
-    _check(scenario.default_channel_security, ChannelSecurity, "default_channel_security")
+    _one_of(scenario.default_channel_security, CHANNEL_SECURITIES, "default_channel_security")
     _label(scenario.agent_server, "agent_server")
     for name in ("route_servers", "hosts", "route"):
         if not _check(getattr(scenario, name), tuple, name):
@@ -364,7 +355,7 @@ def validate_scenario(scenario: Scenario) -> None:
         for j, end in enumerate(ends):
             if _check(end, str, f"{where}.endpoints[{j}]") not in everyone:
                 raise InvalidScenarioError(f"{where}.endpoints[{j}]: {end!r} is not a participant")
-        _check(ch.security, ChannelSecurity, f"{where}.security")
+        _one_of(ch.security, CHANNEL_SECURITIES, f"{where}.security")
         if ends[0] == ends[1]:
             raise InvalidScenarioError(f"{where}: channel from {ends[0]!r} to itself")
         if ends in listed:
@@ -376,17 +367,17 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def enforce_channel_policy(
-    kind: str, value, ends: tuple[str, str], security: ChannelSecurity
+    kind: str, value, ends: tuple[str, str], security: str
 ) -> dict | None:
     """None when the delivery is allowed, else a violation record.
 
     ``ends`` is the sorted endpoint pair of the channel and ``security`` its
-    security. Encryption keys are only as secret as the channel that carries
-    them, so a key_response holding any encryption-mode key over an insecure
-    channel is a violation. Signature keys are past their one use and may
-    travel in the clear; everything else always passes.
+    security word. Encryption keys are only as secret as the channel that
+    carries them, so a key_response holding any encryption-mode key over an
+    insecure channel is a violation. Signature keys are past their one use
+    and may travel in the clear; everything else always passes.
     """
-    if kind == "key_response" and security is ChannelSecurity.INSECURE:
+    if kind == "key_response" and security == "insecure":
         exposed = sum(1 for k in value if k.mode is ProtectionMode.ENCRYPTION)
         if exposed:
             return {
@@ -422,7 +413,7 @@ def apply_adversary(
         return replace(area, registers=registers), None
     reg = area.registers[idx]
     forged = profile.forged_payload or b""
-    padded = pad_to_blocks(forged, params)
+    padded = forged.ljust(padded_octets(len(forged), params), b"\0")
     fake = Register(reg.mode, len(forged), padded, reg.masked_cw, reg.masked_mfd)
     registers = list(area.registers)
     registers[idx] = fake
@@ -469,17 +460,16 @@ def run_scenario(scenario: Scenario) -> SimReport:
 
     trace: list[SimEvent] = []
     violations: list[dict] = []
-    # sorted endpoint pair -> (security, its word in the trace); a pair no
-    # channel lists has the default
-    channels = {ch.endpoints: (ch.security, ch.security.value) for ch in scenario.channels}
-    default = (scenario.default_channel_security, scenario.default_channel_security.value)
+    # sorted endpoint pair -> its security word; a pair no channel lists has the default
+    channels = {ch.endpoints: ch.security for ch in scenario.channels}
+    default = scenario.default_channel_security
 
     def deliver(src: str, dst: str, kind: str, value):
         """Police, encode, decode and trace one message of ``kind``; the
         receiver acts on the decoded value returned. None when the abort
         policy stops it."""
         ends = (src, dst) if src < dst else (dst, src)  # the order Channel keeps
-        security, word = channels.get(ends, default)
+        security = channels.get(ends, default)
         violation = enforce_channel_policy(kind, value, ends, security)
         if violation:
             violations.append({**violation, "aborted": abort})
@@ -493,7 +483,7 @@ def run_scenario(scenario: Scenario) -> SimReport:
             detail["hosts"] = [host_label(h) for h in received]
         elif kind == "key_response":
             detail["keys"] = len(received)
-        trace.append(SimEvent(len(trace) + 1, kind, src, dst, word, detail))
+        trace.append(SimEvent(len(trace) + 1, kind, src, dst, security, detail))
         return received
 
     area = server_dispatch(server)

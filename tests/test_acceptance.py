@@ -27,7 +27,6 @@ from agentpad.cipher import (
 from agentpad.codec import decode_register, encode_register
 from agentpad.protocol import Verdict, host_id
 from agentpad.simulator import (
-    ChannelSecurity,
     enforce_channel_policy,
     run_scenario,
     scenario_from_dict,
@@ -334,10 +333,10 @@ def test_criterion_7_channel_policy():
     ends = ("h", "server")
 
     def insecure(keys):
-        return enforce_channel_policy("key_response", keys, ends, ChannelSecurity.INSECURE)
+        return enforce_channel_policy("key_response", keys, ends, "insecure")
 
     def secure(keys):
-        return enforce_channel_policy("key_response", keys, ends, ChannelSecurity.SECURE)
+        return enforce_channel_policy("key_response", keys, ends, "secure")
 
     def violation(exposed):
         return {"kind": "insecure_key_transfer", "channel": ["h", "server"], "encryption_keys": exposed}

@@ -35,7 +35,6 @@ from agentpad.cipher import (
     padded_octets,
     protect_register,
     required_key_octets,
-    split_into_blocks,
 )
 from agentpad.codec import encode_register, read_register
 from oracles import (
@@ -160,27 +159,6 @@ class TestRotation:
     def test_bijection_at_w8(self):
         for n in range(8):
             assert {rotl_bits(f, n, 8) for f in range(256)} == set(range(256))
-
-
-class TestSplit:
-    def test_empty(self):
-        assert split_into_blocks(b"", P64) == []
-
-    def test_exact_fit_big_endian(self):
-        assert split_into_blocks(bytes(range(1, 9)), P64) == [0x0102030405060708]
-
-    def test_partial_block_zero_padded(self):
-        assert split_into_blocks(bytes(range(1, 10)), P64) == [
-            0x0102030405060708,
-            0x0900000000000000,
-        ]
-
-    def test_block_count(self):
-        for n in range(0, 40):
-            blocks = split_into_blocks(bytes(n), P64)
-            assert len(blocks) == (n * 8 + 63) // 64
-            data = random.Random(n).randbytes(n)
-            assert split_into_blocks(data, P8) == list(data)
 
 
 class TestDigest:
@@ -568,9 +546,9 @@ class TestGenKey:
     def test_key_lengths_by_mode(self):
         rng = random.Random(11)
         sig = gen_key(ProtectionMode.SIGNATURE, 100, [], [], rng, P64)
-        assert sig.bit_length() == 128
+        assert len(sig.bits) == 128 // 8
         enc = gen_key(ProtectionMode.ENCRYPTION, 100, [], [], rng, P64)
-        assert enc.bit_length() == 104 * 8 + 128
+        assert len(enc.bits) == 104 + 128 // 8
 
 
 class TestKeyForCiphertext:
