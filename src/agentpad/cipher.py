@@ -476,10 +476,11 @@ def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:
     its own running digest, and every state then advances through a 2^W-entry
     successor table. The claimed digests ``masked_mfd ^ m`` of all 2^W masks
     form one octet string, which is scanned in full for each codeword's
-    digest, so every one of the 2^(2W) candidates is tested. The octet string
-    holds the claims only at W=8; the caller guards the width. All candidates
-    have 2W bits, which is the signature-mode key length for any message, so
-    no candidate fails the key-length test.
+    digest, so every one of the 2^(2W) candidates is tested. Each data octet
+    is one block, and the octet string holds the claims, only at W=8; the
+    caller guards the width. All candidates have 2W bits, which is the
+    signature-mode key length for any message, so no candidate fails the
+    key-length test.
     """
     w = params.block_width_bits
     mask = params.word_mask
@@ -489,9 +490,7 @@ def _valid_signature_keys(reg: Register, params: CipherParams) -> Iterator[int]:
     succ = [((s >> (s >> top)) | (s << (w - (s >> top)))) & mask for s in range(size)]
     states = [reg.masked_cw ^ c for c in range(size)]
     digests = [0] * size
-    x = int.from_bytes(reg.data_field, "big")
-    for at in reversed(range(0, 8 * len(reg.data_field), w)):  # the first block is the top one
-        b = (x >> at) & mask
+    for b in reg.data_field:
         rots = [((b << l) | (b >> (w - l))) & mask for l in range(w)]
         digests = [d ^ rots[s & low] for d, s in zip(digests, states)]
         states = [succ[s] for s in states]

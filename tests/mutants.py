@@ -1,7 +1,7 @@
 """Mutation testing for one package module, with the standard library only.
 
-    python3 tests/mutants.py [--module cipher] [--function NAME]
-                             [--sample N] [--seed S] [--budget SECONDS]
+    python3 tests/mutants.py [--module cipher] [--sample N] [--seed S]
+                             [--budget SECONDS]
 
 A mutant is the module with one small edit to its syntax tree:
 
@@ -21,8 +21,7 @@ octets, since a mutant can build lists without bound (one that drops the
 width guard of the key enumeration tries 2^64 entries). A mutant the suite
 passes survives. A mutant that runs past three times the unmutated suite's
 time is stopped and counted as killed. The sample is drawn from every mutant
-with ``--seed``; ``--function`` keeps only the mutants inside the named
-function. No mutant is started once ``--budget`` seconds have passed.
+with ``--seed``. No mutant is started once ``--budget`` seconds have passed.
 Survivors are listed by line.
 
 pytest does not collect this file: its name does not start with ``test_``.
@@ -140,13 +139,6 @@ def mutant_source(source: str, index: int) -> str:
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
-def function_lines(source: str, name: str) -> range:
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
-            return range(node.lineno, node.end_lineno + 1)
-    raise SystemExit(f"no function named {name!r}")
-
-
 def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
@@ -172,7 +164,6 @@ def run_suite(copy: Path, timeout: float | None) -> tuple[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--module", default="cipher", help="module under src/agentpad/")
-    parser.add_argument("--function", help="mutate only inside this function")
     parser.add_argument("--sample", type=int, default=40, help="mutants to run (0: all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=float, default=1800.0, help="seconds")
@@ -182,11 +173,8 @@ def main(argv=None) -> int:
     source = (ROOT / relative).read_text()
     catalogue = sites(ast.parse(source))
     chosen = range(len(catalogue))
-    if args.function:
-        lines = function_lines(source, args.function)
-        chosen = [i for i in chosen if catalogue[i][0] in lines]
     if args.sample and args.sample < len(chosen):
-        chosen = sorted(random.Random(args.seed).sample(list(chosen), args.sample))
+        chosen = sorted(random.Random(args.seed).sample(chosen, args.sample))
     print(f"{relative}: {len(catalogue)} mutants, running {len(chosen)}", flush=True)
 
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench-work-*")
