@@ -16,14 +16,16 @@ replay the identical schedule.
 
 Every codeword state is the codeword rotated right by a running offset in
 Z_W, so the schedule is a walk on at most W states: a preperiod of mu
-blocks, then a cycle of lam blocks, with mu + lam <= W. The schedule's own
-period picks each kernel's path. Each kernel walks every state the
-schedule returns, its first min(n, mu + lam) blocks, one block at a time,
-reading them from one integer. Only the blocks past that first period are
-folded: the digest XOR-folds them per cycle phase and rotates only the lam
-folds; encryption-mode rotation rotates all blocks of each cycle phase
-together, so it passes over the data about once however many rotation
-amounts the codeword has.
+blocks, then a cycle of lam blocks, with mu + lam <= W. A message of at most
+W blocks therefore never reaches past the first period, and each kernel
+steps the codeword state itself as it reads each block, with no schedule
+built. Past W blocks the kernel asks ``_schedule``, the one routine that
+finds the period, walks the first mu + lam blocks in the same loop, and
+folds the rest: the digest XOR-folds them per cycle phase and rotates only
+the lam folds; encryption-mode rotation rotates all blocks of each cycle
+phase together, so it passes over the data about once however many rotation
+amounts the codeword has. The switch at W blocks follows from the width;
+nothing is tuned.
 
 In encryption mode the stored blocks are the rotated ones, and derotation
 undoes each rotation exactly, so the digest of the derotated blocks equals
@@ -206,18 +208,17 @@ def required_key_octets(mode: ProtectionMode, message_octets: int, params: Ciphe
     return padded_octets(message_octets, params) + signature
 
 
-def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
-    """Left-rotation amounts of the schedule for n blocks, folded by its period.
+def _schedule(cw: int, params: CipherParams) -> tuple[list[int], int]:
+    """Left-rotation amounts of the codeword's schedule, folded by its period.
 
     Block i is rotated left by the low r bits of its codeword state. The
-    walk stops at the first repeated state or once n states are known, and
-    returns ``(amounts, mu)``. If no state repeats within n blocks, mu = n and
-    block i takes ``amounts[i]``. Otherwise the walk has closed a cycle of
-    ``lam = len(amounts) - mu`` states, with mu + lam < n: block i < mu + lam
-    takes ``amounts[i]``, and every block past that first period takes
-    ``amounts[mu + (i - mu) % lam]``. A state always repeats within W + 1
-    steps: every state is a rotation of cw, and a W-bit word has at most W of
-    them. The state after the last one needed is never computed.
+    walk stops at the first repeated state and returns ``(amounts, mu)``: it
+    has closed a cycle of ``lam = len(amounts) - mu`` states, so block
+    i < mu + lam takes ``amounts[i]``, and every block past that first period
+    takes ``amounts[mu + (i - mu) % lam]``. A state always repeats within
+    W + 1 steps: every state is a rotation of cw, and a W-bit word has at
+    most W of them, so mu + lam <= W. The kernels call it only for messages
+    of more than W blocks, which always reach past the first period.
     """
     w = params.block_width_bits
     low = w - 1
@@ -226,14 +227,13 @@ def _schedule(cw: int, n: int, params: CipherParams) -> tuple[list[int], int]:
     states = [cw]
     amounts = [cw & low]
     c = cw
-    for _ in range(n - 1):
+    while True:
         m = c >> top
         c = ((c >> m) | (c << (w - m))) & mask
         if c in states:
             return amounts, states.index(c)
         states.append(c)
         amounts.append(c & low)
-    return (amounts, n) if n else ([], 0)
 
 
 def _fold(x: int, chunks: int, chunk_bits: int) -> int:
@@ -253,28 +253,38 @@ def _fold(x: int, chunks: int, chunk_bits: int) -> int:
 def _digest(data: bytes, cw: int, params: CipherParams) -> int:
     """Schedule digest of whole-block ``data``.
 
-    The blocks of every state ``_schedule`` returned, the schedule's first
-    period, are read from one integer and rotated one by one. The blocks
-    past it are XOR-folded per cycle phase first, so only lam folds are
-    rotated.
+    A message of at most W blocks ends within the schedule's first period,
+    so each block's codeword state is stepped here as the block is read.
+    Past W blocks ``_schedule`` gives the period: the first mu + lam blocks
+    are walked the same way, and the blocks past them are XOR-folded per
+    cycle phase first, so only lam folds are rotated.
     """
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
-    n = len(data) // bb
-    amounts, mu = _schedule(cw, n, params)
-    rest = n - len(amounts)
-    cut = len(amounts) * bb
-    x = int.from_bytes(data[:cut], "big")
+    low = w - 1
+    top = w - params.rotation_field_bits
+    n = head = len(data) // bb
+    if n > w:
+        amounts, mu = _schedule(cw, params)
+        head = len(amounts)
+    x = int.from_bytes(data[: head * bb], "big")
     mfd = 0
-    for l in reversed(amounts):
-        b = x & mask
+    c = cw
+    at = head * w
+    while at:  # block i sits at bit (head - 1 - i) * w
+        at -= w
+        b = (x >> at) & mask
+        l = c & low
         mfd ^= ((b << l) | (b >> (w - l))) & mask
-        x >>= w
-    if rest:
+        if at:  # the state after the last block is never needed
+            m = c >> top
+            c = ((c >> m) | (c << (w - m))) & mask
+    if head < n:
+        rest = n - head
         cycle = amounts[mu:]
         lam = len(cycle)
-        folds = _fold(int.from_bytes(data[cut:], "big"), -(-rest // lam), lam * w)
+        folds = _fold(int.from_bytes(data[head * bb :], "big"), -(-rest // lam), lam * w)
         for q in range(lam):  # the fold's lowest word holds the phase of the last block
             f = folds & mask
             l = cycle[(rest - 1 - q) % lam]
@@ -286,41 +296,47 @@ def _digest(data: bytes, cw: int, params: CipherParams) -> int:
 def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -> bytes:
     """Rotate each block of whole-block ``data`` by its schedule amount.
 
-    Left for protection, right (``inverse``) for recovery. The blocks of
-    every state ``_schedule`` returned, the schedule's first period, are
-    read from one integer and rotated one by one. Past it, each cycle
-    phase's blocks, the word slice ``[q::lam]``, share one amount, so they
-    are gathered into one integer and rotated together: one shift each way,
-    with a mask built from the low bit of every word. Only whole words move
-    through the array, so the host's byte order never matters.
+    Left for protection, right (``inverse``) for recovery. As in ``_digest``,
+    the codeword state is stepped block by block over a message of at most W
+    blocks, and over the first mu + lam blocks of a longer one. Past them,
+    each cycle phase's blocks, the word slice ``[q::lam]``, share one amount,
+    so they are gathered into one integer and rotated together: one shift
+    each way, with a mask built from the low bit of every word. Only whole
+    words move through the array, so the host's byte order never matters.
     """
     w = params.block_width_bits
     bb = params.block_bytes
     mask = params.word_mask
-    n = len(data) // bb
-    rots, mu = _schedule(cw, n, params)
-    if inverse:
-        rots = [-a % w for a in rots]  # right by l is left by (W - l) mod W
-    rest = n - len(rots)
-    cut = len(rots) * bb
+    low = w - 1
+    top = w - params.rotation_field_bits
+    sign = -1 if inverse else 1  # right by l is left by (W - l) mod W
+    n = head = len(data) // bb
+    if n > w:
+        rots, mu = _schedule(cw, params)
+        head = len(rots)
+    cut = head * bb
     x = int.from_bytes(data[:cut], "big")
     out = 0
-    at = 0
-    for l in reversed(rots):
-        b = x & mask
+    c = cw
+    at = head * w
+    while at:
+        at -= w
+        b = (x >> at) & mask
+        l = sign * c & low
         out |= (((b << l) | (b >> (w - l))) & mask) << at
-        x >>= w
-        at += w
-    head = out.to_bytes(cut, "big")
-    if not rest:
-        return head
-    cycle = rots[mu:]
-    lam = len(cycle)
+        if at:
+            m = c >> top
+            c = ((c >> m) | (c << (w - m))) & mask
+    walked = out.to_bytes(cut, "big")
+    if head == n:
+        return walked
+    lam = len(rots) - mu
     tc = _WORD_TYPECODES[bb]
     words = array(tc, data[cut:])
     unit = (1).to_bytes(bb, "big")
     sels: dict[int, int] = {}  # phase word count -> the low bit of each word
-    for q, a in enumerate(cycle):
+    for q in range(lam):
+        a = sign * rots[mu + q] & low
         if not a:
             continue
         phase = words[q::lam]
@@ -332,7 +348,7 @@ def _rotate(data: bytes, cw: int, params: CipherParams, inverse: bool = False) -
         wrap = (x >> (w - a)) & (sel * ((1 << a) - 1))  # each word's top a bits, moved low
         x = ((x << a) ^ (wrap << w)) | wrap  # the shift's carries into the next word cancel
         words[q::lam] = array(tc, x.to_bytes(k * bb, "big"))
-    return head + words.tobytes()
+    return walked + words.tobytes()
 
 
 def protect_register(
@@ -391,7 +407,7 @@ def check_register(
     Compatibility is judged purely by the key's bit length against the
     register's mode and length; any length-compatible bit string is a
     candidate. ``reg.data_field`` must hold whole blocks, as every register
-    built by protect_register or read_register does. Never consumes the key.
+    built by protect_register or decode_register does. Never consumes the key.
     """
     need = required_key_octets(reg.mode, reg.length, params)
     if len(key.bits) != need:

@@ -12,9 +12,12 @@ integers big-endian):
 An area image is a counted list, the framing every list on the wire shares:
 a 4-octet item count, then the registers. A key image is a mode octet, a
 4-octet bit length, and the key octets. Each fixed-size integer field is read
-and written with one precompiled ``struct.Struct``. Neither registers nor keys
-carry a host identifier: authorship is established only by key matching at
-the agent server, which knows which host surrendered each key.
+and written with one precompiled ``struct.Struct``. An area image is read in
+one loop over its registers and written in one loop; a standalone register
+image runs the same loops over one register, so there is one register parser
+and one register writer. Neither registers nor keys carry a host identifier:
+authorship is established only by key matching at the agent server, which
+knows which host surrendered each key.
 
 Each bus message is the plain value it carries, named by its trace kind.
 Message layouts by kind:
@@ -87,17 +90,6 @@ _WORDS = {struct.calcsize(f">{code}"): struct.Struct(f">2{code}") for code in "B
 _MODES = {mode.value: mode for mode in ProtectionMode}
 
 
-def _read_header(raw: bytes, offset: int, what: str) -> tuple[ProtectionMode, int]:
-    """The mode octet and 4-octet count that open a register or key image."""
-    if len(raw) - offset < 5:
-        raise TruncatedError(f"{what} header incomplete")
-    octet, count = _HEADER.unpack_from(raw, offset)
-    mode = _MODES.get(octet)
-    if mode is None:
-        raise UnknownModeError(f"mode octet 0x{octet:02x}")
-    return mode, count
-
-
 def _read_exact(raw: bytes, octets: int, what: str) -> bytes:
     """``raw`` itself, when it is a fixed-size image of exactly ``octets``."""
     if len(raw) != octets:
@@ -118,50 +110,79 @@ def _read_count(raw: bytes, what: str) -> int:
     return _COUNT.unpack_from(raw)[0]
 
 
-def _read_counted(raw: bytes, read_item: Callable[..., tuple[Any, int]], what: str, *args) -> tuple:
+def _read_counted(raw: bytes, read_item: Callable[[bytes, int], tuple[Any, int]], what: str) -> tuple:
     """Every item of the counted list that fills ``raw`` exactly;
-    ``read_item(raw, offset, *args)`` returns one item and the next offset."""
+    ``read_item(raw, offset)`` returns one item and the next offset."""
     offset = 4
     items = []
     for _ in range(_read_count(raw, what)):
-        item, offset = read_item(raw, offset, *args)
+        item, offset = read_item(raw, offset)
         items.append(item)
     if offset != len(raw):
         raise TrailingGarbageError(f"{len(raw) - offset} octets after {what}")
     return tuple(items)
 
 
-def encode_register(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> bytes:
-    words = _WORDS[params.block_bytes].pack(reg.masked_cw, reg.masked_mfd)
-    return b"".join((_HEADER.pack(reg.mode.value, reg.length), reg.data_field, words))
+def _write_registers(head: bytes, registers: Sequence[Register], params: CipherParams) -> bytes:
+    """``head``, then the image of each register, written in one loop."""
+    pack_header = _HEADER.pack
+    pack_words = _WORDS[params.block_bytes].pack
+    parts = [head]
+    for reg in registers:
+        parts += (
+            pack_header(reg.mode.value, reg.length),
+            reg.data_field,
+            pack_words(reg.masked_cw, reg.masked_mfd),
+        )
+    return b"".join(parts)
 
 
-def read_register(raw: bytes, offset: int, params: CipherParams = DEFAULT_PARAMS) -> tuple[Register, int]:
-    """Decode one register at ``offset``; returns it and the next offset."""
-    mode, length = _read_header(raw, offset, "register")
-    data_start = offset + 5
-    data_end = data_start + padded_octets(length, params)
+def _read_registers(
+    raw: bytes, offset: int, count: int, params: CipherParams, what: str
+) -> tuple[Register, ...]:
+    """The ``count`` registers that fill ``raw`` exactly from ``offset``,
+    read in one loop; ``what`` names the image in a trailing-octet error."""
     words = _WORDS[params.block_bytes]
-    end = data_end + words.size
-    if len(raw) < end:
-        raise TruncatedError(f"register body needs {end - offset} octets")
-    return Register(mode, length, raw[data_start:data_end], *words.unpack_from(raw, data_end)), end
+    size = words.size
+    unpack_header = _HEADER.unpack_from
+    unpack_words = words.unpack_from
+    modes = _MODES
+    total = len(raw)
+    registers = []
+    for _ in range(count):
+        if total - offset < 5:
+            raise TruncatedError("register header incomplete")
+        octet, length = unpack_header(raw, offset)
+        mode = modes.get(octet)
+        if mode is None:
+            raise UnknownModeError(f"mode octet 0x{octet:02x}")
+        start = offset + 5
+        stop = start + padded_octets(length, params)
+        end = stop + size
+        if total < end:
+            raise TruncatedError(f"register body needs {end - offset} octets")
+        registers.append(Register(mode, length, raw[start:stop], *unpack_words(raw, stop)))
+        offset = end
+    if offset != total:
+        raise TrailingGarbageError(f"{total - offset} octets after {what}")
+    return tuple(registers)
+
+
+def encode_register(reg: Register, params: CipherParams = DEFAULT_PARAMS) -> bytes:
+    return _write_registers(b"", (reg,), params)
 
 
 def decode_register(raw: bytes, params: CipherParams = DEFAULT_PARAMS) -> Register:
     """Strict standalone decode; rejects anything past the register."""
-    reg, end = read_register(raw, 0, params)
-    if end != len(raw):
-        raise TrailingGarbageError(f"{len(raw) - end} octets after register")
-    return reg
+    return _read_registers(raw, 0, 1, params, "register")[0]
 
 
 def encode_area(area: AgentDataArea, params: CipherParams = DEFAULT_PARAMS) -> bytes:
-    return _write_counted([encode_register(reg, params) for reg in area.registers])
+    return _write_registers(_COUNT.pack(len(area.registers)), area.registers, params)
 
 
 def decode_area(raw: bytes, agent: bytes, params: CipherParams = DEFAULT_PARAMS) -> AgentDataArea:
-    return AgentDataArea(agent, _read_counted(raw, read_register, "area", params))
+    return AgentDataArea(agent, _read_registers(raw, 4, _read_count(raw, "area"), params, "area"))
 
 
 def encode_key(key: OneTimeKey) -> bytes:
@@ -169,7 +190,12 @@ def encode_key(key: OneTimeKey) -> bytes:
 
 
 def _read_key(raw: bytes, offset: int) -> tuple[OneTimeKey, int]:
-    mode, bit_length = _read_header(raw, offset, "key")
+    if len(raw) - offset < 5:
+        raise TruncatedError("key header incomplete")
+    octet, bit_length = _HEADER.unpack_from(raw, offset)
+    mode = _MODES.get(octet)
+    if mode is None:
+        raise UnknownModeError(f"mode octet 0x{octet:02x}")
     if bit_length % 8:
         raise CodecError("key bit length is not a whole number of octets")
     end = offset + 5 + bit_length // 8

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agentpad import cipher
 from agentpad.cipher import (
     CheckReason,
     CipherParams,
@@ -25,10 +26,12 @@ from agentpad.cipher import (
     WidthTooLargeError,
     _WORD_TYPECODES,
     _digest,
+    _fold,
     _rotate,
     _schedule,
     _valid_signature_keys,
     check_register,
+    default_rng,
     enumerate_valid_signature_keys,
     gen_key,
     key_for_ciphertext,
@@ -36,7 +39,7 @@ from agentpad.cipher import (
     protect_register,
     required_key_octets,
 )
-from agentpad.codec import encode_register, read_register
+from agentpad.codec import decode_register, encode_register
 from oracles import (
     data_tamper_verdicts,
     derotated_blocks_reference,
@@ -300,23 +303,54 @@ class TestPhaseRotation:
                 assert _digest(data, cw, params) == digest_reference(blocks[:n], cw, width)
                 assert _rotate(data, cw, params) == packed(rotated[:n], params)
                 assert _rotate(data, cw, params, inverse=True) == packed(derotated[:n], params)
-                seen.add(((n > mu + lam) - (n < mu + lam), lam == 1))
-        # the kernels walk the first mu + lam blocks and fold the rest: the
-        # sweep put n below, at and past that boundary, for a fixed point
+                seen.add((n > width, (n > mu + lam) - (n < mu + lam), lam == 1))
+        # up to W blocks the kernels walk every block; past W they walk the
+        # first mu + lam blocks and fold the rest. The sweep put n on both
+        # sides of W, and below, at and past mu + lam, for a fixed point
         # (lam = 1) and for longer cycles
-        assert seen == {(side, fixed) for side in (-1, 0, 1) for fixed in (True, False)}
+        walked = {(False, side, fixed) for side in (-1, 0, 1) for fixed in (True, False)}
+        assert seen == walked | {(True, 1, fixed) for fixed in (True, False)}
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_schedule_stops_at_its_first_repeat(self, width):
         params = CipherParams(width)
-        codewords, lengths = self.sweep(width)
+        codewords, _ = self.sweep(width)
         for cw in codewords:
             mu, lam, amounts = schedule_shape(cw, width)
-            for n in lengths:
-                if n <= mu + lam:
-                    assert _schedule(cw, n, params) == (amounts[:n], n)
+            assert _schedule(cw, params) == (amounts, mu)
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_schedule_and_fold_only_past_w_blocks(self, width, monkeypatch):
+        # a message of at most W blocks is walked inline, with no schedule
+        # and no fold; past W each kernel builds the schedule once, and the
+        # digest folds the blocks after mu + lam once, lam blocks to a chunk
+        params = CipherParams(width)
+        calls = []
+
+        def schedule(cw, p):
+            calls.append(cw)
+            return _schedule(cw, p)
+
+        def fold(x, chunks, chunk_bits):
+            calls.append((chunks, chunk_bits))
+            return _fold(x, chunks, chunk_bits)
+
+        monkeypatch.setattr(cipher, "_schedule", schedule)
+        monkeypatch.setattr(cipher, "_fold", fold)
+        rng = random.Random(width)
+        data = rng.randbytes(3 * width * params.block_bytes)
+        for cw in symmetric_codewords(width) + [rng.getrandbits(width) for _ in range(4)]:
+            mu, lam, _ = schedule_shape(cw, width)
+            for n in (0, 1, width, width + 1, 3 * width):
+                calls.clear()
+                message = data[: n * params.block_bytes]
+                _digest(message, cw, params)
+                _rotate(message, cw, params)
+                _rotate(message, cw, params, inverse=True)
+                if n <= width:
+                    assert calls == []
                 else:
-                    assert _schedule(cw, n, params) == (amounts, mu)
+                    assert calls == [cw, (-(-(n - mu - lam) // lam), lam * width), cw, cw]
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_word_array_round_trips_the_octets(self, width):
@@ -423,8 +457,12 @@ class TestProtect:
 
     def test_codeword_out_of_range(self):
         key = OneTimeKey(ProtectionMode.SIGNATURE, b"\x00\x00")
-        with pytest.raises(ValueError):
-            protect_register(b"x", 256, key, P8)
+        for cw in (-1, 256):
+            with pytest.raises(ValueError, match="codeword out of range"):
+                protect_register(b"x", cw, key, P8)
+        assert not key.consumed
+        protect_register(b"x", 0, key, P8)
+        assert key.consumed
 
 
 class TestCheck:
@@ -538,10 +576,18 @@ class TestGenKey:
         assert key.bits == b"\x42\x42"
 
     def test_exhaustion_with_broken_rng(self):
+        # exactly MAX_KEY_ATTEMPTS = 128 draws are made before giving up
         held = OneTimeKey(ProtectionMode.SIGNATURE, b"\x13\x37")
-        rng = RiggedRng([b"\x13\x37"] * 128)
-        with pytest.raises(ExhaustedAttemptsError):
+        rng = RiggedRng([b"\x13\x37"] * 129)
+        with pytest.raises(ExhaustedAttemptsError, match="after 128 draws of 2 octets"):
             gen_key(ProtectionMode.SIGNATURE, 2, [], [held], rng, P8)
+        assert len(rng.queue) == 1
+
+    def test_unseeded_rng_is_system_entropy(self):
+        assert type(default_rng()) is random.SystemRandom
+        assert type(default_rng(None)) is random.SystemRandom
+        assert type(default_rng(0)) is random.Random
+        assert default_rng(7).randbytes(8) == random.Random(7).randbytes(8)
 
     def test_key_lengths_by_mode(self):
         rng = random.Random(11)
@@ -595,9 +641,9 @@ class TestEnumerateSignatureKeys:
         assert enumerate_valid_signature_keys(reg, P8) == 256
 
     def test_key_list_matches_reference(self):
-        # every register is enumerated under all 256 codewords; at W=8 every
-        # walk repeats within 8 blocks, so 8, 9 and 24 octets are folded under
-        # each codeword, and 0 and 1 octets walked block by block
+        # every register is enumerated under all 256 codewords; at W=8 one
+        # octet is one block, so 0, 1 and 8 octets are walked block by block,
+        # and 9 and 24 octets are folded past the first period
         rng = random.Random(16)
         cases = []
         for n in (0, 1, 8, 9, 24):
@@ -605,10 +651,11 @@ class TestEnumerateSignatureKeys:
             reg = protect_register(rng.randbytes(n), rng.getrandbits(8), key, P8)
             cases.append((reg, int.from_bytes(key.bits, "big")))
         # at W=8 every octet is a block, so a rewritten length moves the field
-        # boundaries; read_register decodes the shifted fields, as inside an area
+        # boundaries; with the two octets it leaves over cut off, the image
+        # decodes to the shifted fields, as inside an area
         raw = bytearray(encode_register(cases[-1][0], P8))
         raw[1:5] = (22).to_bytes(4, "big")
-        shifted, _ = read_register(bytes(raw), 0, P8)
+        shifted = decode_register(bytes(raw[:-2]), P8)
         assert len(shifted.data_field) == 22
         cases.append((shifted, None))
 
@@ -626,7 +673,7 @@ class TestEnumerateSignatureKeys:
                 assert genuine in keys
 
     def test_column_walk_matches_digest_reference(self):
-        # arbitrary masked words over 0-40 octets: past 10 blocks _digest folds
+        # arbitrary masked words over 0-40 octets: past 8 blocks _digest folds
         # by period, the column walk steps every block
         rng = random.Random(17)
         for n in [0, 1, 10, 11, 40] + [rng.randint(0, 40) for _ in range(25)]:

@@ -308,6 +308,54 @@ class TestAreaWire:
         with pytest.raises(TruncatedError):
             decode_area(b"\x00\x00", AGENT, P64)
 
+    @staticmethod
+    def failures(decode, images, *args):
+        failures = []
+        for image in images:
+            with pytest.raises(CodecError) as caught:
+                decode(image, *args)
+            failures.append((caught.type, str(caught.value)))
+        return failures
+
+    @staticmethod
+    def cut_short(present, size):
+        """The failure for a register image of ``size`` octets cut to ``present``."""
+        if present < 5:
+            return TruncatedError, "register header incomplete"
+        return TruncatedError, f"register body needs {size} octets"
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_failures_pinned(self, width):
+        # every cut of an area of 0-3 registers names the count, or the header
+        # or body it falls in; every extension names its surplus octets, and
+        # an unknown mode octet names itself; the same for each register
+        # decoded on its own
+        params = CipherParams(width)
+        rng = random.Random(200 + width)
+        extensions = (1, 7, 8)
+        for count in range(4):
+            registers = [random_register(rng, params, max_len=3 * width // 8) for _ in range(count)]
+            images = [encode_register(reg, params) for reg in registers]
+            raw = encode_area(AgentDataArea(AGENT, tuple(registers)), params)
+            starts = [4 + sum(map(len, images[:i])) for i in range(count)]
+            expected = [(TruncatedError, "area count incomplete")] * 4
+            for image in images:
+                expected += [self.cut_short(n, len(image)) for n in range(len(image))]
+            expected += [(TrailingGarbageError, f"{k} octets after area") for k in extensions]
+            expected += [(UnknownModeError, "mode octet 0x03")] * count
+            cuts = [raw[:end] for end in range(len(raw))]
+            extended = [raw + bytes(k) for k in extensions]
+            unknown = [raw[:start] + b"\x03" + raw[start + 1 :] for start in starts]
+            assert self.failures(decode_area, cuts + extended + unknown, AGENT, params) == expected
+            for image in images:
+                expected = [self.cut_short(n, len(image)) for n in range(len(image))]
+                expected += [(TrailingGarbageError, f"{k} octets after register") for k in extensions]
+                expected.append((UnknownModeError, "mode octet 0x03"))
+                cuts = [image[:end] for end in range(len(image))]
+                extended = [image + bytes(k) for k in extensions]
+                unknown = [b"\x03" + image[1:]]
+                assert self.failures(decode_register, cuts + extended + unknown, params) == expected
+
 
 class TestIndependentAreaParser:
     """The standalone decoder's area parser and command line against the codec."""
